@@ -129,6 +129,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .harness import Comparison
+
     a = _load_report_csv(args.report_a)
     b = _load_report_csv(args.report_b)
     if a["duration_steps"] != b["duration_steps"]:
@@ -137,25 +139,18 @@ def _cmd_compare(args) -> int:
     if a["seed"] != b["seed"]:
         print("error: runs saw different weather seeds", file=sys.stderr)
         return 2
-    print(f"{'metric':<22}{'a':>14}{'b':>14}{'b/a':>10}")
-    rows = []
+    pairs = []
     for key in a:
         if key in ("name", "seed", "duration_steps", "status") or key.startswith("sha256"):
             continue
         try:
-            va, vb = float(a[key]), float(b[key])
+            pairs.append((key, float(a[key]), float(b[key])))
         except (ValueError, KeyError):
             continue
-        if key not in b:
-            continue
-        ratio = vb / va if va else float("inf")
-        print(f"{key:<22}{va:>14.6g}{vb:>14.6g}{ratio:>10.4f}")
-        rows.append((key, va, vb, ratio))
+    comparison = Comparison.of(pairs)
+    print(comparison.table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("metric,a,b,ratio\n")
-            for key, va, vb, ratio in rows:
-                fh.write(f"{key},{va:.9g},{vb:.9g},{ratio:.9g}\n")
+        comparison.write_csv(args.out)
     return 0
 
 

@@ -34,7 +34,7 @@ from .excitation import (
     select_optimal,
     variational_candidates,
 )
-from .monitor import Monitor, MonitorPolicy, consensus_test
+from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
 from .mpc import MpcConfig, horizon_bounds, mpc_step
 from .network import (
     DiscreteDynamics,
@@ -277,7 +277,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
                 detail = "agree" if report_c.consensus else (
                     f"disagree (outlier filter {report_c.outlier()})"
                 )
-                monitor.events.append(_ev(t, "consensus", detail))
+                monitor.events.append(MonitorEvent(t, "consensus", detail))
             means = np.concatenate([est_state.p, est_state.q])
             variances = np.abs(np.diag(est_state.P)[est_state.n_nodes:])
             nees = _temperature_nees(est_state, plant_state.true_temps)
@@ -286,8 +286,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
             if not est_state.converged and convergence_criterion(estimates, config.convergence):
                 est_state = mark_converged(est_state)
                 converged_at = t
-                estimates[-1] = replace_record(rec, converged=True)
-                monitor.events.append(_ev(t, "converged", ""))
+                estimates[-1] = replace(rec, converged=True)
+                monitor.events.append(MonitorEvent(t, "converged", ""))
 
         if config.track_observability:
             obs_temps.append(plant_state.true_temps.copy())
@@ -355,7 +355,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
             if sol.converged:
                 mode = "mpc"
             else:
-                events.append(_ev(
+                events.append(MonitorEvent(
                     t, "mpc-failure",
                     f"status={sol.status} iterations={sol.iterations} "
                     f"gap={sol.kkt.get('gap', float('nan')):.3e}",
@@ -412,15 +412,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
     if out_dir is not None:
         write_report(report, config, Path(out_dir))
     return report
-
-
-def replace_record(rec: EstimateRecord, converged: bool) -> EstimateRecord:
-    return EstimateRecord(rec.time, rec.means, rec.variances, rec.nees, converged)
-
-
-def _ev(t, kind="", detail=""):
-    from .monitor import MonitorEvent
-    return MonitorEvent(t, kind, detail)
 
 
 def _temperature_nees(est_state, true_temps) -> float:
@@ -498,7 +489,7 @@ def _try_excite(config, est_state, ukf_model, truth, net, z, t,
             )
             if monitor is not None:
                 gains = ",".join(f"{g:.3f}" for g in diag["gains"])
-                monitor.events.append(_ev(
+                monitor.events.append(MonitorEvent(
                     t, "selector",
                     f"optimal candidates={len(candidates)} gains=[{gains}] "
                     f"threshold={selector.threshold:.4f}",
@@ -515,11 +506,11 @@ def _try_excite(config, est_state, ukf_model, truth, net, z, t,
             if experiment is not None:
                 break
         if monitor is not None and experiment is None:
-            monitor.events.append(_ev(
+            monitor.events.append(MonitorEvent(
                 t, "selector", f"heuristic candidates={tried} no-gain"
             ))
     if experiment is not None and monitor is not None:
-        monitor.events.append(_ev(t, "experiment", f"target={experiment.target}"))
+        monitor.events.append(MonitorEvent(t, "experiment", f"target={experiment.target}"))
     return experiment, selector
 
 
@@ -638,6 +629,14 @@ def _sha256(path: Path) -> str:
 class Comparison:
     rows: list[tuple[str, float, float, float]]
 
+    @classmethod
+    def of(cls, pairs) -> "Comparison":
+        """Rows from (metric, a, b) triples; b/a, where 0/0 reads as no change."""
+        return cls([
+            (key, a, b, b / a if a != 0 else (1.0 if b == 0 else float("inf")))
+            for key, a, b in pairs
+        ])
+
     def table(self) -> str:
         lines = [f"{'metric':<22}{'a':>14}{'b':>14}{'b/a':>10}"]
         for name, a, b, ratio in self.rows:
@@ -663,10 +662,5 @@ def compare_runs(a: RunReport, b: RunReport) -> Comparison:
         raise ValidationError("runs have different durations")
     if a.weather_seed != b.weather_seed:
         raise ValidationError("runs saw different weather")
-    rows = []
     da, db = a.metrics.as_dict(), b.metrics.as_dict()
-    for key in da:
-        va, vb = float(da[key]), float(db[key])
-        ratio = vb / va if va != 0 else (1.0 if vb == 0 else float("inf"))
-        rows.append((key, va, vb, ratio))
-    return Comparison(rows)
+    return Comparison.of((key, float(da[key]), float(db[key])) for key in da)

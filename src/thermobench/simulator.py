@@ -199,19 +199,17 @@ class PlantModel:
         temps = state.true_temps.copy()
         t = state.clock
         d = self._disc
+        # each minute's ambient value is drawn once: a sub-step's end value
+        # is the next sub-step's input
+        ambient = external_temperature(weather, t)
         for _ in range(n_sub):
-            t_ext = np.array([external_temperature(weather, t)] * len(self._ext_pos))
+            t_ext = np.array([ambient] * len(self._ext_pos))
             t_int = temps[self._int_pos]
             temps[self._int_pos] = d.Phi @ t_int + d.Gamma_ext @ t_ext + d.Gamma_ctrl @ u
             t += self.substep
-            temps[self._ext_pos] = external_temperature(weather, t)
+            ambient = external_temperature(weather, t)
+            temps[self._ext_pos] = ambient
         return PlantState(temps, t)
-
-
-def step_plant(plant: PlantModel, state: PlantState, u: np.ndarray,
-               weather: WeatherModel, dt: float) -> PlantState:
-    """Functional alias for PlantModel.step."""
-    return plant.step(state, u, weather, dt)
 
 
 def measure(state: PlantState, noise_std: float, seed) -> np.ndarray:

@@ -84,9 +84,6 @@ class UkfState:
     def q(self) -> np.ndarray:
         return self.x_hat[self.n_nodes + self.n_p:]
 
-    def parameter_vector(self, template: ParameterVector) -> ParameterVector:
-        return template.with_values(self.p, self.q)
-
 
 def initial_state(
     net: ThermalNetwork,
@@ -141,11 +138,11 @@ class PredictResult:
 
 
 class UkfModel:
-    """Propagation context: topology, index maps, cached layout.
+    """Propagation context: topology, generator layout, cached names.
 
     The sigma-point map builds the internal-node transition from each
-    point's parameters with a single matrix exponential; the ambient node
-    and the parameters are carried as random walks.
+    point's parameters with a matrix exponential; the ambient node and the
+    parameters are carried as random walks.
     """
 
     def __init__(self, net: ThermalNetwork, config: UkfConfig):
@@ -157,40 +154,32 @@ class UkfModel:
         self.n_q = len(self.template.q)
         self._int_pos = [net.index_of(i) for i in net.internal_ids]
         self._ext_pos = [net.index_of(i) for i in net.external_ids]
-        self._heated = list(self.template.zone_map)
-        idx = {nid: k for k, nid in enumerate(net.node_ids)}
-        self._edge_entries = [
-            (idx[i], idx[j]) for (i, j) in self.template.edge_map
-        ]
-        self._int_index = {pos: k for k, pos in enumerate(self._int_pos)}
+        # generator cells: internal nodes, then ambient nodes, then heaters
+        cell = {nid: k for k, nid in enumerate(net.internal_ids + net.external_ids)}
+        self._edge_cells = [(cell[i], cell[j]) for (i, j) in self.template.edge_map]
+        self._heater_rows = [cell[z] for z in self.template.zone_map]
+        self._heater_cols = [len(cell) + l for l in range(self.n_q)]
+        self._size = len(cell) + self.n_q
         self._names = self.template.param_names()
 
-    def propagate_point(self, point: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-        """Advance one augmented point by dt; parameters stay put."""
-        n, n_p = self.n_nodes, self.n_p
-        temps = point[:n]
-        p = np.maximum(point[n:n + n_p], PARAM_FLOOR)
-        q = np.maximum(point[n + n_p:], PARAM_FLOOR)
-        n_i, n_e = len(self._int_pos), len(self._ext_pos)
-        m = len(self._heated)
-        M = np.zeros((n_i + n_e + m, n_i + n_e + m))
-        for k, (i, j) in enumerate(self._edge_entries):
-            rate = 1.0 / p[k]
-            row = self._int_index[i]
-            if j in self._int_index:
-                M[row, self._int_index[j]] += rate
-            else:
-                M[row, n_i + self._ext_pos.index(j)] += rate
-            M[row, row] -= rate
-        for l, zone in enumerate(self._heated):
-            row = self._int_index[self.net.index_of(zone)]
-            M[row, n_i + n_e + l] = q[l]
+    def propagate_points(self, points: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+        """Advance every augmented point (one per row) by dt; parameters stay put."""
+        n, n_p, n_i = self.n_nodes, self.n_p, len(self._int_pos)
+        rates = 1.0 / np.maximum(points[:, n:n + n_p], PARAM_FLOOR)
+        M = np.zeros((len(points), self._size, self._size))
+        # edge by edge, off-diagonal then diagonal: each cell sums in a fixed order
+        for k, (row, col) in enumerate(self._edge_cells):
+            M[:, row, col] += rates[:, k]
+            M[:, row, row] -= rates[:, k]
+        M[:, self._heater_rows, self._heater_cols] = np.maximum(points[:, n + n_p:], PARAM_FLOOR)
         E = expm(M * dt)
-        state_in = np.concatenate([temps[self._int_pos], temps[self._ext_pos], u])
-        out = point.copy()
-        new_int = E[:n_i] @ state_in
-        for k, pos in enumerate(self._int_pos):
-            out[pos] = new_int[k]
+        state_in = np.concatenate([
+            points[:, self._int_pos], points[:, self._ext_pos],
+            np.broadcast_to(u, (len(points), len(u))),
+        ], axis=1)
+        out = points.copy()
+        # one gemv per point; einsum would sum in a different order
+        out[:, self._int_pos] = (E[:, :n_i] @ state_in[:, :, None])[:, :, 0]
         return out
 
     def process_noise(self, state: UkfState, scale: float = 1.0) -> np.ndarray:
@@ -223,12 +212,9 @@ def predict(state: UkfState, u: np.ndarray, dt: float, model: UkfModel,
     params_block = points[:, n:]
     low = params_block < PARAM_FLOOR
     if np.any(low):
-        names = model.template.param_names()
         for col in np.unique(np.nonzero(low)[1]):
-            clamped.add(names[col])
-    propagated = np.empty_like(points)
-    for i, pt in enumerate(points):
-        propagated[i] = model.propagate_point(pt, u, dt)
+            clamped.add(model._names[col])
+    propagated = model.propagate_points(points, u, dt)
     mean = w_mean @ propagated
     diff = propagated - mean
     P = (w_cov[:, None] * diff).T @ diff

@@ -192,6 +192,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "discomfort" in out
 
+    def test_compare_zero_over_zero_is_unity(self, tmp_path):
+        # the CLI reads 0/0 as compare_runs does: no change, not inf
+        for label, discomfort in (("a", 2.0), ("b", 3.0)):
+            (tmp_path / label).mkdir()
+            (tmp_path / label / "report.csv").write_text(
+                "key,value\nname,x\nseed,0\nduration_steps,4\nstatus,ok\n"
+                f"discomfort,{discomfort}\nenergy,0\n"
+            )
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",")[1:]
+                for line in out.read_text().splitlines()[1:]}
+        assert float(rows["energy"][2]) == 1.0
+        assert float(rows["discomfort"][2]) == 1.5
+
     def test_compare_missing_report_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compare", str(tmp_path / "nope"), str(tmp_path / "nope2")])

@@ -82,7 +82,39 @@ class TestForecast:
             weather_forecast(acquisition_weather(), 0.0, 0, 15.0)
 
 
+def reference_step(plant, state, u, weather, dt):
+    """The plant integration drawing the ambient value twice per sub-step."""
+    d, net = plant.discrete, plant.net
+    int_pos = [net.index_of(i) for i in d.internal_ids]
+    ext_pos = [net.index_of(i) for i in d.external_ids]
+    temps, t = state.true_temps.copy(), state.clock
+    for _ in range(int(round(dt / plant.substep))):
+        t_ext = np.array([external_temperature(weather, t)] * len(ext_pos))
+        temps[int_pos] = d.Phi @ temps[int_pos] + d.Gamma_ext @ t_ext + d.Gamma_ctrl @ u
+        t += plant.substep
+        temps[ext_pos] = external_temperature(weather, t)
+    return temps, t
+
+
 class TestPlant:
+    def test_step_matches_two_draw_reference_with_one_draw_per_minute(self, monkeypatch):
+        plant = PlantModel(two_zone_example())
+        w = acquisition_weather(noise_std=0.25, seed=3)
+        state = plant.initial_state({1: 70.0, 2: 66.0}, w)
+        draws = []
+        noise = WeatherModel.noise
+        for k in range(12):
+            u = np.array([0.1 * (k % 4), 1.0 - 0.07 * k])
+            temps, clock = reference_step(plant, state, u, w, 15.0)
+            monkeypatch.setattr(WeatherModel, "noise",
+                                lambda self, t: draws.append(t) or noise(self, t))
+            state = plant.step(state, u, w, 15.0)
+            monkeypatch.setattr(WeatherModel, "noise", noise)
+            assert np.array_equal(state.true_temps, temps)
+            assert state.clock == clock
+            assert len(draws) == 15 + 1
+            draws.clear()
+
     def test_equilibrium(self):
         net = two_zone_example()
         plant = PlantModel(net)

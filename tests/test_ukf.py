@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from thermobench.errors import ValidationError
 from thermobench.network import minimal_parameterization, two_zone_example
 from thermobench.simulator import PlantModel, WeatherModel
 from thermobench.ukf import (
+    PARAM_FLOOR,
     UkfConfig,
     UkfModel,
     UkfState,
@@ -66,6 +68,45 @@ class TestSigmaPoints:
             P = S @ S.T + 0.1 * np.eye(L)
             pts, wm, _ = sigma_points(x, P, UkfConfig())
             np.testing.assert_allclose(wm @ pts, x, atol=1e-12)
+
+
+def reference_propagate(net, point, u, dt):
+    """One point at a time: its own generator and its own matrix exponential."""
+    pv = minimal_parameterization(net)
+    order = list(net.internal_ids) + list(net.external_ids)
+    n, n_p, n_i = len(net.nodes), len(pv.p), len(net.internal_ids)
+    p = np.maximum(point[n:n + n_p], PARAM_FLOOR)
+    q = np.maximum(point[n + n_p:], PARAM_FLOOR)
+    M = np.zeros((len(order) + len(q), len(order) + len(q)))
+    for k, (i, j) in enumerate(pv.edge_map):
+        rate = 1.0 / p[k]
+        M[order.index(i), order.index(j)] += rate
+        M[order.index(i), order.index(i)] -= rate
+    for l, zone in enumerate(pv.zone_map):
+        M[order.index(zone), len(order) + l] = q[l]
+    E = expm(M * dt)
+    pos = [net.index_of(nid) for nid in order]
+    out = point.copy()
+    out[pos[:n_i]] = E[:n_i] @ np.concatenate([point[pos], u])
+    return out
+
+
+class TestPropagation:
+    def test_batched_map_matches_per_point_reference_bitwise(self):
+        net = two_zone_example()
+        cfg = UkfConfig()
+        pv = minimal_parameterization(net)
+        seeded = pv.with_values(pv.p * [0.6, 1.7, 1.1, 0.8], pv.q * [1.3, 0.7])
+        state = initial_state(net, np.array([70.5, 66.0, 21.0]), seeded, cfg)
+        points, _, _ = sigma_points(state.x_hat, state.P, cfg)
+        below = points[0].copy()
+        below[3] = 0.5 * PARAM_FLOOR  # R12C1 under the floor: the clamp applies
+        points = np.vstack([points, below])
+        u = np.array([0.35, 0.8])
+        batched = UkfModel(net, cfg).propagate_points(points, u, 15.0)
+        reference = np.array([reference_propagate(net, pt, u, 15.0) for pt in points])
+        assert np.array_equal(batched, reference)
+        assert np.all(np.isfinite(batched[-1]))
 
 
 class TestPredict:

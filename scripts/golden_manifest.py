@@ -78,7 +78,7 @@ def report_digests(report) -> dict:
     if report.observability:
         obs = report.observability
         out["observability"] = _array_digest(
-            [np.array([(s.time, s.rank, s.condition_number) for s in obs])]
+            [np.array([(s.time, s.rank) for s in obs])]
             + [s.coordinate_magnitudes for s in obs]
             + [s.nullspace_basis for s in obs]
         )

@@ -1,12 +1,13 @@
 """Observability diagnostics and scenario metrics.
 
-The observability analysis linearizes the joint temperature/parameter
-dynamics at an operating point, builds the stacked discrete observability
-matrix from the measurement map, and reads off rank, conditioning, and the
-nullspace directions: which parameter combinations the data cannot see at
-that instant. Heater coefficients are excluded; they are directly driven
-by the inputs and learn quickly, so the interesting structure is in the
-RC products.
+The observability analysis asks which parameter combinations the data
+cannot see at an operating point. Every node temperature is measured and
+the parameters are constant, so the nullspace of the stacked observability
+matrix of the joint temperature/parameter dynamics is exactly
+{0} x ker(S), where S is the temperature-rate sensitivity to the RC
+products; the snapshot reads rank and nullspace directions off S alone.
+Heater coefficients are excluded; they are directly driven by the inputs
+and learn quickly, so the interesting structure is in the RC products.
 
 Scenario metrics score a closed-loop run: RMS comfort-bound violation of
 the realized zone temperatures and accumulated control effort.
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  unused; kept so perfbench's analysis.expm counter binds
 
 from .errors import ValidationError
-from .network import ParameterVector, ThermalNetwork, assemble_continuous
+from .excitation import generate_variational
+from .network import ParameterVector, ThermalNetwork
 from .simulator import SimulationTrace
 
 RANK_RTOL = 1e-10
@@ -31,7 +33,6 @@ RANK_RTOL = 1e-10
 class ObservabilitySnapshot:
     time: float
     rank: int
-    condition_number: float
     nullspace_basis: np.ndarray        # (dim, null_dim), orthonormal columns
     coordinate_magnitudes: np.ndarray  # (dim,) L2 of each coordinate across the basis
 
@@ -58,87 +59,29 @@ class ScenarioMetrics:
         }
 
 
-def augmented_jacobian(
-    temps: np.ndarray,
-    params: ParameterVector,
-    topology: ThermalNetwork,
-) -> np.ndarray:
-    """Jacobian of the joint [temperature; RC-parameter] dynamics.
-
-    The temperature block is the rate matrix at the given parameters, the
-    parameter columns hold -(T_j - T_i)/p_k^2 at each parameter's edge, and
-    the parameter rows are zero (constants). External-node rows are zero.
-    """
-    temps = np.asarray(temps, dtype=float)
-    n = len(topology.nodes)
-    n_p = len(params.p)
-    if temps.shape != (n,):
-        raise ValidationError("temperature vector has wrong length")
-    cont = assemble_continuous(params, topology)
-    J = np.zeros((n + n_p, n + n_p))
-    J[:n, :n] = cont.A
-    idx = {nid: k for k, nid in enumerate(topology.node_ids)}
-    for k, (i, j) in enumerate(params.edge_map):
-        J[idx[i], n + k] = -(temps[idx[j]] - temps[idx[i]]) / params.p[k] ** 2
-    return J
-
-
-def transition_matrix(J: np.ndarray, dt: float) -> np.ndarray:
-    return expm(J * dt)
-
-
-def measurement_matrix(n_temps: int, n_params: int) -> np.ndarray:
-    return np.hstack([np.eye(n_temps), np.zeros((n_temps, n_params))])
-
-
-def observability_matrix(F: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Stacked [C; CF; ...; CF^(dim-1)]."""
-    dim = F.shape[0]
-    blocks = []
-    block = C.copy()
-    for _ in range(dim):
-        blocks.append(block)
-        block = block @ F
-    return np.vstack(blocks)
-
-
-def analyze_observability(
-    O: np.ndarray,
-    time: float = 0.0,
-    rank_rtol: float = RANK_RTOL,
-) -> ObservabilitySnapshot:
-    """Rank, conditioning, and nullspace structure of one snapshot."""
-    U, s, Vt = np.linalg.svd(O, full_matrices=True)
-    dim = O.shape[1]
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rank_rtol * smax))
-    s_full = np.zeros(dim)
-    s_full[: len(s)] = s
-    smin = s_full[-1]
-    cond = float(smax / smin) if smin > 0 else np.inf
-    basis = Vt[rank:].T
-    mags = np.linalg.norm(basis, axis=1)
-    return ObservabilitySnapshot(time, rank, cond, basis, mags)
-
-
 def nullspace_trace(
     temps_series: np.ndarray,
     times: Sequence[float],
     params: ParameterVector,
     topology: ThermalNetwork,
-    dt: float = 15.0,
-    rank_rtol: float = RANK_RTOL,
 ) -> list[ObservabilitySnapshot]:
-    """Observability snapshot at every operating point of a trajectory."""
-    temps_series = np.asarray(temps_series, dtype=float)
+    """Observability snapshot at every operating point of a trajectory.
+
+    The rank is n_nodes + rank(S) and the nullspace basis is [0; ker S],
+    with S the sensitivity of ``generate_variational``.
+    """
     n = len(topology.nodes)
-    C = measurement_matrix(n, len(params.p))
+    n_p = len(params.p)
     out = []
-    for temps, t in zip(temps_series, times):
-        J = augmented_jacobian(temps, params, topology)
-        F = transition_matrix(J, dt)
-        O = observability_matrix(F, C)
-        out.append(analyze_observability(O, time=t, rank_rtol=rank_rtol))
+    for temps, t in zip(np.asarray(temps_series, dtype=float), times):
+        if temps.shape != (n,):
+            raise ValidationError("temperature vector has wrong length")
+        S = generate_variational(params, topology, temps)
+        _, s, Vt = np.linalg.svd(S, full_matrices=True)
+        rank = int(np.sum(s > RANK_RTOL * s[0]))
+        basis = np.zeros((n + n_p, n_p - rank))
+        basis[n:] = Vt[rank:].T
+        out.append(ObservabilitySnapshot(t, n + rank, basis, np.linalg.norm(basis, axis=1)))
     return out
 
 

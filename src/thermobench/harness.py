@@ -23,7 +23,7 @@ from .analysis import (
     coordinate_names,
     nullspace_trace,
 )
-from .errors import ValidationError
+from .errors import NumericalDegeneracyError, PhysicsViolationError, ValidationError
 from .excitation import (
     Experiment,
     SelectorState,
@@ -37,14 +37,11 @@ from .excitation import (
 from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
 from .mpc import MpcConfig, horizon_bounds, mpc_step
 from .network import (
-    DiscreteDynamics,
     ParameterVector,
     ThermalNetwork,
     assemble_continuous,
     discretize,
-    load_network,
     minimal_parameterization,
-    two_zone_example,
 )
 from .simulator import (
     OccupancySchedule,
@@ -265,7 +262,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
                     for b in range(len(bank)):
                         bp = predict(bank[b], u_prev, dt, ukf_model)
                         bank[b] = update(bp.state, z, ukf_model).state
-                except Exception as exc:  # numerical degeneracy ends the run
+                except (NumericalDegeneracyError, PhysicsViolationError,
+                        np.linalg.LinAlgError) as exc:  # numerical degeneracy ends the run
                     status = f"degenerate: {exc}"
                     break
             if bank and t - last_consensus >= config.monitor.consensus_every and k > 0:
@@ -389,9 +387,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunR
     metrics = compute_metrics(trace)
     observability = []
     if config.track_observability and obs_temps:
-        observability = nullspace_trace(
-            np.array(obs_temps), obs_times, truth, net, dt
-        )
+        observability = nullspace_trace(np.array(obs_temps), obs_times, truth, net)
     report = RunReport(
         name=config.name,
         seed=config.seed,
@@ -609,12 +605,11 @@ def _write_estimates(report: RunReport, path: Path) -> None:
 def _write_observability(report: RunReport, config: ScenarioConfig, path: Path) -> None:
     truth = minimal_parameterization(config.network)
     names = coordinate_names(truth, config.network)
-    header = ["time", "inv_condition", "rank"] + [f"null_{n}" for n in names]
+    header = ["time", "rank"] + [f"null_{n}" for n in names]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for snap in report.observability:
-            inv = 0.0 if not np.isfinite(snap.condition_number) else 1.0 / snap.condition_number
-            cells = [_fmt(snap.time), _fmt(inv), str(snap.rank)]
+            cells = [_fmt(snap.time), str(snap.rank)]
             cells += [_fmt(v) for v in snap.coordinate_magnitudes]
             fh.write(",".join(cells) + "\n")
 

@@ -244,7 +244,7 @@ def solve_mpc(problem: MpcProblem) -> MpcSolution:
 
     u_flat = np.clip(sol.x[:nu], 0.0, 1.0)
     cost, T_pred, w = _closed_form_cost(problem, u_flat, G, d)
-    status = "optimal" if sol.optimal else "failed"
+    status = sol.status
     if not sol.optimal and sol.gap <= 1e-6 * (1.0 + abs(cost)) and sol.max_violation <= 1e-7:
         # near a cone apex (zero optimal slack) the dual certificate can lag
         # while the primal is already converged; a vanished surrogate gap on

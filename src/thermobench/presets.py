@@ -14,13 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError
-from .harness import (
-    Comparison,
-    RunReport,
-    ScenarioConfig,
-    compare_runs,
-    run_scenario,
-)
+from .harness import ScenarioConfig, compare_runs, run_scenario
 from .network import minimal_parameterization, two_zone_example
 from .simulator import OccupancySchedule, WeatherModel
 

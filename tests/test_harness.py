@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermobench.errors import ValidationError
+from thermobench.errors import NumericalDegeneracyError, ValidationError
 from thermobench.harness import (
     ConvergenceConfig,
     EstimateRecord,
@@ -119,6 +119,23 @@ class TestRunScenario:
         )
         actual = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
         assert digest == actual
+
+    def test_only_numerical_degeneracy_ends_the_run(self, monkeypatch):
+        from thermobench import harness
+
+        def raising(exc):
+            def predict(*args, **kwargs):
+                raise exc
+            return predict
+
+        monkeypatch.setattr(harness, "predict", raising(TypeError("a real bug")))
+        with pytest.raises(TypeError, match="a real bug"):
+            run_scenario(tiny_config(duration_steps=4))
+        monkeypatch.setattr(harness, "predict",
+                            raising(NumericalDegeneracyError("covariance lost PSD")))
+        report = run_scenario(tiny_config(duration_steps=4))
+        assert report.status.startswith("degenerate:")
+        assert len(report.trace) == 1
 
 
 class TestCompareRuns:

@@ -111,6 +111,16 @@ class TestSolveMpc:
         # held at the midpoint by the warm ambient: no slack, no terminal gap
         assert sol.cost < 1e-4
 
+    def test_solver_status_passed_through(self):
+        cfg = MpcConfig(horizon=8, max_iter=3)
+        r_min, r_max = flat_bounds(8, 2, 68.0, 72.0)
+        prob = build_mpc_problem(
+            table1_model(), np.array([40.0, 40.0]), np.full(8, 10.0), r_min, r_max, cfg
+        )
+        sol = solve_mpc(prob)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 3 and not sol.converged
+
     def test_cold_start_max_effort_and_feasible(self):
         cfg = MpcConfig(horizon=8)
         model = table1_model()

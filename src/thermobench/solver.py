@@ -418,16 +418,27 @@ def solve(
             sigma = 0.9999
 
         # corrector with Mehrotra second-order term
-        tgt_lin = sigma * mu - lam_lin * lam_lin - dsa_lin * dza_lin
+        cen_lin = sigma * mu - lam_lin * lam_lin
+        cen_soc = []
         tgt_soc = []
         for k in range(len(socs)):
             blk = socs[k]
             e_k = np.zeros(blk.dim)
             e_k[0] = 1.0
+            cen_soc.append(sigma * mu * e_k - _SocBlock.prod(lam_soc[k], lam_soc[k]))
             corr = _SocBlock.prod(blk.apply_winv(dsa_soc[k]), blk.apply_w(dza_soc[k]))
-            tgt_soc.append(sigma * mu * e_k - _SocBlock.prod(lam_soc[k], lam_soc[k]) - corr)
-        dx, dz_lin, ds_lin, dz_soc, ds_soc = newton(tgt_lin, tgt_soc)
+            tgt_soc.append(cen_soc[k] - corr)
+        dx, dz_lin, ds_lin, dz_soc, ds_soc = newton(cen_lin - dsa_lin * dza_lin, tgt_soc)
         a = min(1.0, 0.99 * max_steps(ds_lin, dz_lin, ds_soc, dz_soc))
+        if a < 0.1:
+            # the second-order term can jam the step against a cone boundary
+            # for many iterations in a row; the plain centred direction from
+            # the same factorization often still moves, so take the longer
+            cen = newton(cen_lin, cen_soc)
+            a_cen = min(1.0, 0.99 * max_steps(cen[2], cen[1], cen[4], cen[3]))
+            if a_cen > a:
+                dx, dz_lin, ds_lin, dz_soc, ds_soc = cen
+                a = a_cen
 
         x = x + a * dx
         s_lin = s_lin + a * ds_lin

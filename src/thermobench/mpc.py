@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import cho_solve
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
 from .simulator import OccupancySchedule, WeatherModel, comfort_bounds, weather_forecast
-from .solver import ConeConstraint, ConicProgram, solve
+from .solver import ConeConstraint, ConicProgram, factor_newton, solve
 
 
 @dataclass(frozen=True)
@@ -107,27 +109,35 @@ def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray,
     """Stacked affine map from controls to temperatures: T(1..h) = G u + d.
 
     ``u`` is the time-major flattened control sequence (h*m,), the result
-    rows are time-major temperatures (h*n,).
+    rows are time-major temperatures (h*n,). G is block lower-Toeplitz with
+    blocks Phi^(k-j) Gamma_ctrl; the forecast enters through the same
+    Toeplitz structure of Phi^(k-j) Gamma_ext.
     """
     n = model.n_internal
-    m = model.Gamma_ctrl.shape[1]
-    powers = [np.eye(n)]
-    for _ in range(h - 1):
-        powers.append(model.Phi @ powers[-1])
-    G = np.zeros((h * n, h * m))
-    d = np.empty(h * n)
-    acc = T0.copy()
-    forced = np.zeros(n)
+    powers = np.empty((h + 1, n, n))
+    powers[0] = np.eye(n)
     for k in range(1, h + 1):
-        forced = model.Phi @ forced + model.Gamma_ext @ forecast[k - 1]
-        acc = model.Phi @ acc
-        d[(k - 1) * n: k * n] = acc + forced
-        for j in range(k):
-            G[(k - 1) * n: k * n, j * m: (j + 1) * m] = powers[k - 1 - j] @ model.Gamma_ctrl
+        powers[k] = model.Phi @ powers[k - 1]
+    G = _block_toeplitz(powers[:h] @ model.Gamma_ctrl)
+    forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast.reshape(-1)
+    d = (powers[1:] @ T0).reshape(-1) + forced
     return G, d
 
 
+def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """(h*n, h*m) block lower-triangular matrix with block (k, j) = blocks[k - j]."""
+    h, n, m = blocks.shape
+    lag = np.arange(h)[:, None] - np.arange(h)[None, :]
+    out = np.where((lag >= 0)[:, :, None, None], blocks[np.maximum(lag, 0)], 0.0)
+    return out.transpose(0, 2, 1, 3).reshape(h * n, h * m)
+
+
 def _condense(problem: MpcProblem):
+    """The horizon problem over x = (u, w, t1, t2) with its structured Newton hook.
+
+    u are the controls, w the band slacks, t1 the epigraph of the slack RMS
+    cone ||w|| <= t1 and t2 that of the terminal cone ||T(h) - r(h)|| <= t2.
+    """
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
@@ -139,25 +149,17 @@ def _condense(problem: MpcProblem):
     r_min = problem.r_min.reshape(-1)
     r_max = problem.r_max.reshape(-1)
 
-    A = np.zeros((2 * nu + 3 * nw, nvar))
-    b = np.empty(2 * nu + 3 * nw)
-    row = 0
-    A[row:row + nu, :nu] = -np.eye(nu)
-    b[row:row + nu] = 0.0
-    row += nu
-    A[row:row + nu, :nu] = np.eye(nu)
-    b[row:row + nu] = 1.0
-    row += nu
-    A[row:row + nw, nu:nu + nw] = -np.eye(nw)
-    b[row:row + nw] = 0.0
-    row += nw
-    A[row:row + nw, :nu] = -G
-    A[row:row + nw, nu:nu + nw] = -np.eye(nw)
-    b[row:row + nw] = d - r_min
-    row += nw
-    A[row:row + nw, :nu] = G
-    A[row:row + nw, nu:nu + nw] = -np.eye(nw)
-    b[row:row + nw] = r_max - d
+    # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
+    # T = G u + d stored by G's block lower-triangular pattern
+    lower = np.arange(nu)[None, :] // m <= np.arange(nw)[:, None] // n
+    g_row, g_col = np.nonzero(lower)
+    g_val = G[lower]
+    iu, iw = np.arange(nu), np.arange(nw)
+    band = 2 * nu + nw
+    rows = [iu, nu + iu, 2 * nu + iw, band + g_row, band + iw, band + nw + g_row, band + nw + iw]
+    cols = [iu, iu, nu + iw, g_col, nu + iw, g_col, nu + iw]
+    vals = [-np.ones(nu), np.ones(nu), -np.ones(nw), -g_val, -np.ones(nw), g_val, -np.ones(nw)]
+    b_parts = [np.zeros(nu), np.ones(nu), np.zeros(nw), d - r_min, r_max - d]
 
     c = np.zeros(nvar)
     c[:nu] = cfg.R
@@ -165,8 +167,8 @@ def _condense(problem: MpcProblem):
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
 
     cones = []
-    F1 = np.zeros((nw, nvar))
-    F1[:, nu:nu + nw] = np.eye(nw)
+    F1 = sparse.csr_array((np.ones(nw), (np.arange(nw), np.arange(nu, nu + nw))),
+                          shape=(nw, nvar))
     d1 = np.zeros(nvar)
     d1[nu + nw] = 1.0
     cones.append(ConeConstraint(F=F1, g=np.zeros(nw), d=d1))
@@ -174,40 +176,111 @@ def _condense(problem: MpcProblem):
     if cfg.Q_togo > 0:
         # a zero-cost epigraph variable would make the problem degenerate,
         # so the terminal cone exists only when its weight does
-        G_h = G[(h - 1) * n:, :]
         F2 = np.zeros((n, nvar))
-        F2[:, :nu] = G_h
+        F2[:, :nu] = G[(h - 1) * n:, :]
         d2 = np.zeros(nvar)
         d2[nu + nw + 1] = 1.0
         cones.append(ConeConstraint(F=F2, g=d[(h - 1) * n:] - problem.r[-1], d=d2))
     else:
-        # pin the unused epigraph variable
-        extra = np.zeros((2, nvar))
-        extra[0, nu + nw + 1] = 1.0
-        extra[1, nu + nw + 1] = -1.0
-        A = np.vstack([A, extra])
-        b = np.concatenate([b, [1.0, 0.0]])
+        # pin the unused epigraph variable: 0 <= t2 <= 1
+        rows.append(band + 2 * nw + np.arange(2))
+        cols.append(np.full(2, nvar - 1))
+        vals.append(np.array([1.0, -1.0]))
+        b_parts.append(np.array([1.0, 0.0]))
+    b = np.concatenate(b_parts)
+    A = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(len(b), nvar))
 
-    def gram(wts: np.ndarray) -> np.ndarray:
-        s1 = wts[:nu]
-        s2 = wts[nu:2 * nu]
-        s3 = wts[2 * nu:2 * nu + nw]
-        s4 = wts[2 * nu + nw:2 * nu + 2 * nw]
-        s5 = wts[2 * nu + 2 * nw:2 * nu + 3 * nw]
-        M = np.zeros((nvar, nvar))
-        M[:nu, :nu] = G.T @ ((s4 + s5)[:, None] * G)
-        M[:nu, :nu][np.diag_indices(nu)] += s1 + s2
-        cross = G.T * (s4 - s5)[None, :]
-        M[:nu, nu:nu + nw] = cross
-        M[nu:nu + nw, :nu] = cross.T
-        M[nu:nu + nw, nu:nu + nw] = np.diag(s3 + s4 + s5)
-        extra = wts[2 * nu + 3 * nw:]
-        if len(extra):
-            M[nu + nw + 1, nu + nw + 1] += extra.sum()
-        return M
-
-    prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), gram=gram)
+    prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), kkt=_condensed_kkt(G, n))
     return prog, G, d
+
+
+def _condensed_kkt(G: np.ndarray, n: int):
+    """Newton hook of the condensed program: eliminate (w, t1), factor (u, t2).
+
+    In the variable order (u, w, t1, t2), with the row weights split by the
+    row groups of ``_condense`` into s1..s5 and the pinned-t2 rows:
+
+    - the (w, t1) block is diag(s3 + s4 + s5, 0) plus the RMS cone's NT term
+      W1^-2 = (I + U C U') / beta1^2 with U = [Jv, v], a diagonal plus
+      rank 2, which Sherman-Morrison-Woodbury inverts;
+    - it couples only to u, through G' diag(s4 - s5);
+    - the terminal cone adds [G_h, e_t2]' W2^-2 [G_h, e_t2] on (u, t2), of
+      rank n + 1, and pinned-t2 rows (when Q_togo = 0) add to t2 alone.
+
+    What is left is the Schur complement onto (u, t2): one Cholesky of
+    order h*m + 1 per iteration.
+    """
+    nw, nu = G.shape
+    G_h = G[-n:]
+    cut = np.cumsum([nu, nu, nw, nw, nw])
+    jsign = np.ones(n + 1)
+    jsign[1:] = -1.0
+
+    def kkt(wts, scalings):
+        s1, s2, s3, s4, s5, pinned = np.split(wts, cut)
+        pinned = float(pinned.sum())
+        beta, v = scalings[0]
+        U = np.empty((nw + 1, 2))                  # [Jv, v] in (w, t1) order
+        U[:nw, 0] = -v[1:]
+        U[:nw, 1] = v[1:]
+        U[nw] = v[0]
+        C = np.array([[4.0 * float(v @ v), -2.0], [-2.0, 0.0]]) / beta**2
+        dg = np.full(nw + 1, 1.0 / beta**2)        # diagonal of the (w, t1) block
+        dg[:nw] += s3 + s4 + s5
+        Ud = U / dg[:, None]
+        K = np.linalg.solve(np.eye(2) + C @ (U.T @ Ud), C)
+        K = 0.5 * (K + K.T)
+
+        def block_inv(y):
+            return y / dg - Ud @ (K @ (Ud.T @ y))
+
+        delta = s4 - s5
+        # s4 + s5 - delta^2 / dg_w, without the cancellation when s4 >> s5
+        alpha = ((s4 + s5) * (s3 + dg[nw]) + 4.0 * s4 * s5) / dg[:nw]
+        GtQ = G.T @ (delta[:, None] * Ud[:nw])
+        weighted = alpha[:, None] * G
+        S = np.zeros((nu + 1, nu + 1))
+        S[nu, nu] = pinned
+        W2 = None
+        if len(scalings) > 1:
+            beta2, v2 = scalings[1]
+            Jv2 = jsign * v2
+            Winv = (2.0 * np.outer(Jv2, Jv2) - np.diag(jsign)) / beta2
+            W2 = Winv @ Winv
+            weighted[-n:] += W2[1:, 1:] @ G_h
+            S[:nu, nu] = S[nu, :nu] = G_h.T @ W2[1:, 0]
+            S[nu, nu] += W2[0, 0]
+        S[:nu, :nu] = G.T @ weighted + GtQ @ K @ GtQ.T
+        S[np.arange(nu), np.arange(nu)] += s1 + s2
+        factor = factor_newton(S)
+
+        def solve(r):
+            y = block_inv(r[nu:-1])
+            x_a = cho_solve(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]),
+                            check_finite=False)
+            coupling = np.zeros(nw + 1)
+            coupling[:nw] = delta * (G @ x_a[:nu])
+            return np.concatenate([x_a[:nu], y - block_inv(coupling), x_a[nu:]])
+
+        def apply(x):
+            u, w, t2 = x[:nu], x[nu:nu + nw], x[-1]
+            Gu = G @ u
+            y = x[nu:-1]
+            out = np.empty_like(x)
+            out[:nu] = G.T @ ((s4 + s5) * Gu + delta * w) + (s1 + s2) * u
+            out[nu:-1] = y / beta**2 + U @ (C @ (U.T @ y))
+            out[nu:nu + nw] += delta * Gu + (s3 + s4 + s5) * w
+            out[-1] = pinned * t2
+            if W2 is not None:
+                q = W2 @ np.concatenate([x[-1:], Gu[-n:]])
+                out[:nu] += G_h.T @ q[1:]
+                out[-1] += q[0]
+            return out
+
+        return solve, apply
+
+    return kkt
 
 
 def _closed_form_cost(problem: MpcProblem, u_flat: np.ndarray,

@@ -13,11 +13,12 @@ primal-dual interior-point method with Nesterov-Todd scaling. The start
 may be primal/dual infeasible; both residuals are driven to zero along
 the way.
 
-Problem sizes here are desk scale (a few hundred variables), so all linear
-algebra is dense. The dominant per-iteration cost is the weighted Gram
-matrix of the linear rows; callers with structured constraint matrices can
-supply a ``gram`` callback computing A' diag(w) A to exploit that
-structure.
+Problem sizes here are desk scale (a few hundred variables). ``A`` may be a
+dense array or a ``scipy.sparse`` array; the cone rows ``F`` likewise. The
+dominant per-iteration cost is the reduced Newton system: by default it is
+assembled densely and factored by Cholesky, and callers whose constraints
+have structure can supply a ``kkt`` hook that factors it their own way, in
+the style of CVXOPT's ``kktsolver``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.sparse import diags_array, issparse
 
 from .errors import SolverFailure
 
@@ -54,12 +56,68 @@ class ConicProgram:
     A: np.ndarray
     b: np.ndarray
     cones: tuple[ConeConstraint, ...] = ()
-    # optional structured evaluation of A' diag(w) A
-    gram: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # optional structured Newton solver, see ``KktHook``; None assembles the
+    # reduced matrix densely
+    kkt: Optional["KktHook"] = None
 
     @property
     def n(self) -> int:
         return len(self.c)
+
+
+# One Newton system per iteration: kkt(wts, scalings) -> (solve, apply) for
+#   M = A' diag(wts) A + sum_k C_k' W_k^-2 C_k,   C_k = [d_k'; F_k],
+# with wts one weight per row of ``A`` and scalings[k] = (beta, v) the
+# Nesterov-Todd scaling W_k = beta (2 v v' - J) of cone k. ``solve(r)``
+# returns M^-1 r and ``apply(x)`` returns M x; the solver refines once with
+# the residual r - apply(solve(r)). Factor through ``factor_newton`` so the
+# regularization and its failure are the solver's.
+KktHook = Callable[
+    [np.ndarray, list[tuple[float, np.ndarray]]],
+    tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
+]
+
+
+def factor_newton(M: np.ndarray):
+    """Cholesky factor of a Newton matrix, shifted by 1e-12 on the diagonal.
+
+    When rounding has left it indefinite, the shift grows to 1e-6 of the
+    largest diagonal entry once; after that the system is reported as
+    ``SolverFailure``. ``M`` is modified in place.
+    """
+    diag = np.diag_indices_from(M)
+    M[diag] += 1e-12
+    try:
+        return cho_factor(M, lower=True, check_finite=False)
+    except LinAlgError:
+        M[diag] += 1e-6 * float(np.max(M.diagonal()))
+        try:
+            return cho_factor(M, lower=True, check_finite=False)
+        except LinAlgError:
+            raise SolverFailure("Newton system not positive definite")
+
+
+def dense_kkt(prob: "ConicProgram") -> KktHook:
+    """The reference hook: the reduced Newton matrix assembled densely."""
+    A = prob.A.toarray() if issparse(prob.A) else prob.A
+    gram = [np.outer(cone.d, cone.d) + cone.F.T @ cone.F for cone in prob.cones]
+
+    def kkt(wts, scalings):
+        M = A.T @ (wts[:, None] * A)
+        for cone, GtG, (beta, v) in zip(prob.cones, gram, scalings):
+            # W^-2 = (I + 4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / beta^2
+            Gt_Jv = cone.d * v[0] - cone.F.T @ v[1:]
+            Gt_v = cone.d * v[0] + cone.F.T @ v[1:]
+            M += (
+                GtG
+                + 4.0 * float(v @ v) * np.outer(Gt_Jv, Gt_Jv)
+                - 2.0 * np.outer(Gt_Jv, Gt_v)
+                - 2.0 * np.outer(Gt_v, Gt_Jv)
+            ) / beta**2
+        factor = factor_newton(M)
+        return (lambda r: cho_solve(factor, r, check_finite=False)), M.__matmul__
+
+    return kkt
 
 
 @dataclass
@@ -184,23 +242,23 @@ def solve(
     below ``tol``, otherwise "stalled" or "max_iter" with the best iterate.
     """
     c = np.asarray(prob.c, dtype=float)
-    n = prob.n
 
     # row equilibration of the linear block keeps multipliers commensurate
-    row_scale = 1.0 / np.maximum(np.max(np.abs(prob.A), axis=1), 1.0)
-    A = prob.A * row_scale[:, None]
+    if issparse(prob.A):
+        row_max = abs(prob.A).max(axis=1).toarray()
+    else:
+        row_max = np.max(np.abs(prob.A), axis=1)
+    row_scale = 1.0 / np.maximum(row_max, 1.0)
+    A = diags_array(row_scale) @ prob.A
     b = prob.b * row_scale
+    At = _transposed(A)
+    Ft = [_transposed(cone.F) for cone in prob.cones]
     m_lin = A.shape[0]
-    base_gram = prob.gram
+    kkt = prob.kkt if prob.kkt is not None else dense_kkt(prob)
     sq = row_scale * row_scale
 
     socs = [_SocBlock(1 + cone.F.shape[0]) for cone in prob.cones]
     nu_degree = m_lin + len(socs)
-
-    # constant pieces of the soc rows: s_k = (d'x+e; Fx+g) and Gram blocks
-    soc_GtG = []
-    for cone in prob.cones:
-        soc_GtG.append(np.outer(cone.d, cone.d) + cone.F.T @ cone.F)
 
     def soc_eval(k: int, x: np.ndarray) -> np.ndarray:
         cone = prob.cones[k]
@@ -211,27 +269,21 @@ def solve(
 
     def soc_adjoint(k: int, u: np.ndarray) -> np.ndarray:
         cone = prob.cones[k]
-        return cone.d * u[0] + cone.F.T @ u[1:]
+        return cone.d * u[0] + Ft[k] @ u[1:]
 
     # least-squares initialization: x from min ||Gx - h||, z = G y with
     # y = -M0^-1 c (exactly dual feasible before the cone shift), then both
-    # s and z shifted into their cone interiors
-    ones = np.ones(m_lin)
-    M0 = base_gram(sq) if base_gram is not None else A.T @ A
-    M0 = M0 + sum(soc_GtG, np.zeros((n, n)))
-    M0[np.diag_indices(n)] += 1e-10 * (1.0 + float(np.max(M0.diagonal())))
-    try:
-        factor0 = cho_factor(M0, lower=True, check_finite=False)
-    except LinAlgError:
-        raise SolverFailure("constraint geometry is degenerate")
+    # s and z shifted into their cone interiors; M0 is the Newton matrix at
+    # unit weights and identity scalings
+    solve0, _ = kkt(sq, [(1.0, blk.v) for blk in socs])
     if x0 is None:
-        Gt_h = A.T @ b
+        Gt_h = At @ b
         for k, cone in enumerate(prob.cones):
             Gt_h -= soc_adjoint(k, np.concatenate([[cone.e], cone.g]))
-        x = cho_solve(factor0, Gt_h, check_finite=False)
+        x = solve0(Gt_h)
     else:
         x = np.asarray(x0, dtype=float).copy()
-    y_dual = cho_solve(factor0, -c, check_finite=False)
+    y_dual = solve0(-c)
 
     s_lin = b - A @ x
     shift = max(0.0, 1.0 - float(np.min(s_lin)))
@@ -270,7 +322,7 @@ def solve(
 
     for it in range(1, max_iter + 1):
         # rx = c + G'z with G_soc = -[d'; F]; rz = G x + s - h per block
-        rx = c + A.T @ z_lin
+        rx = c + At @ z_lin
         for k in range(len(socs)):
             rx -= soc_adjoint(k, z_soc[k])
         rz_lin = A @ x + s_lin - b
@@ -322,34 +374,8 @@ def solve(
         lam_soc = [socs[k].update_scaling(s_soc[k], z_soc[k]) for k in range(len(socs))]
         mu = gap / nu_degree
 
-        # reduced Newton matrix: A' W^-2 A plus soc congruences
         winv2 = 1.0 / w_lin
-        if base_gram is not None:
-            M = base_gram(winv2 * sq)
-        else:
-            M = A.T @ (winv2[:, None] * A)
-        for k, cone in enumerate(prob.cones):
-            blk = socs[k]
-            u = blk.jmul(blk.v)
-            uu = float(u @ u)
-            Gt_u = soc_adjoint(k, u)
-            Gt_Ju = soc_adjoint(k, blk.jmul(u))
-            M += (
-                soc_GtG[k]
-                + 4.0 * uu * np.outer(Gt_u, Gt_u)
-                - 2.0 * np.outer(Gt_u, Gt_Ju)
-                - 2.0 * np.outer(Gt_Ju, Gt_u)
-            ) / blk.beta**2
-        M[np.diag_indices(n)] += 1e-12
-        try:
-            factor = cho_factor(M, lower=True, check_finite=False)
-        except LinAlgError:
-            M[np.diag_indices(n)] += 1e-6 * float(np.max(M.diagonal()))
-            try:
-                factor = cho_factor(M, lower=True, check_finite=False)
-            except LinAlgError:
-                raise SolverFailure("Newton system not positive definite")
-
+        kkt_solve, kkt_apply = kkt(winv2 * sq, [(blk.beta, blk.v) for blk in socs])
         sqrt_w = np.sqrt(w_lin)
 
         def newton(tgt_lin, tgt_soc):
@@ -363,16 +389,16 @@ def solve(
                 _SocBlock.prod(_SocBlock.inv(lam_soc[k]), tgt_soc[k])
                 for k in range(len(socs))
             ]
-            rhs = -rx - A.T @ (winv2 * (rz_lin + sqrt_w * dc_lin))
+            rhs = -rx - At @ (winv2 * (rz_lin + sqrt_w * dc_lin))
             for k in range(len(socs)):
                 blk = socs[k]
                 tmp = _apply_winv2(blk, rz_soc[k] + blk.apply_w(dc_soc[k]))
                 # -G_soc' v = +[d; F]' v for these rows
                 rhs += soc_adjoint(k, tmp)
-            dx = cho_solve(factor, rhs, check_finite=False)
+            dx = kkt_solve(rhs)
             # one pass of iterative refinement: near the boundary the W^-2
             # recovery of dz amplifies factorization error in dx
-            dx += cho_solve(factor, rhs - M @ dx, check_finite=False)
+            dx += kkt_solve(rhs - kkt_apply(dx))
             dz_lin = winv2 * (A @ dx + rz_lin + sqrt_w * dc_lin)
             ds_lin = sqrt_w * dc_lin - w_lin * dz_lin
             dz_soc = []
@@ -474,6 +500,11 @@ def solve(
         primal_residual=pres,
         max_violation=viol,
     )
+
+
+def _transposed(M):
+    """M' in a layout with fast products: CSR when sparse, a view when dense."""
+    return M.T.tocsr() if issparse(M) else M.T
 
 
 def _apply_winv2(blk: _SocBlock, u: np.ndarray) -> np.ndarray:

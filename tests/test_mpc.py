@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import minimize
+
+from thermobench import mpc as mpc_module
 
 from thermobench.errors import ValidationError
+from thermobench.harness import ScenarioConfig, run_scenario
 from thermobench.mpc import (
     MpcConfig,
+    _closed_form_cost,
+    _condense,
     build_mpc_problem,
     horizon_bounds,
     mpc_step,
@@ -15,9 +22,12 @@ from thermobench.network import (
     ThermalNetwork,
     continuous_from_network,
     discretize,
+    minimal_parameterization,
     two_zone_example,
 )
+from thermobench.presets import comparison_weather
 from thermobench.simulator import OccupancySchedule, WeatherModel
+from thermobench.solver import dense_kkt
 
 
 def grid_oracle_cost(model, T0, forecast, r_min, r_max, cfg, step=0.05):
@@ -63,6 +73,43 @@ def table1_model(dt=15.0):
 
 def flat_bounds(h, n, lo=68.0, hi=72.0):
     return np.full((h, n), lo), np.full((h, n), hi)
+
+
+def test_structured_kkt_matches_dense():
+    """The condensed Newton hook solves the reduced system that the dense
+    matrix A' diag(wts) A + sum_k C_k' W_k^-2 C_k defines, with W_k built here
+    from its definition beta (2 v v' - J), on random row weights and NT
+    scalings; with the terminal cone and with pinned t2 rows (Q_togo = 0)."""
+    rng = np.random.default_rng(9)
+    h = 12
+    r_min, r_max = flat_bounds(h, 2)
+    for q_togo in (1.0, 0.0):
+        cfg = MpcConfig(horizon=h, Q_togo=q_togo)
+        problem = build_mpc_problem(table1_model(), np.array([66.0, 71.0]),
+                                    np.full(h, 30.0), r_min, r_max, cfg)
+        prog, _, _ = _condense(problem)
+        assert len(prog.cones) == (2 if q_togo > 0 else 1)
+        A = prog.A.toarray()
+        for _ in range(4):
+            wts = np.exp(rng.uniform(-3.0, 3.0, size=A.shape[0]))
+            M = A.T @ (wts[:, None] * A)
+            scalings = []
+            for cone in prog.cones:
+                v1 = rng.normal(size=cone.F.shape[0]) * rng.uniform(0.1, 2.0)
+                v = np.concatenate([[np.sqrt(1.0 + v1 @ v1)], v1])
+                beta = rng.uniform(0.3, 3.0)
+                J = np.diag(np.concatenate([[1.0], -np.ones(len(v1))]))
+                W_inv = np.linalg.inv(beta * (2.0 * np.outer(v, v) - J))
+                C = np.vstack([cone.d, sparse.csr_array(cone.F).toarray()])
+                M += C.T @ W_inv @ W_inv @ C
+                scalings.append((beta, v))
+            r = rng.normal(size=prog.n)
+            ref = np.linalg.solve(M, r)
+            for hook in (prog.kkt, dense_kkt(prog)):
+                solve, apply = hook(wts, scalings)
+                assert np.linalg.norm(solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+                scale = np.linalg.norm(M) * np.linalg.norm(ref)
+                assert np.linalg.norm(apply(ref) - M @ ref) <= 1e-13 * scale
 
 
 class TestProblemConstruction:
@@ -250,3 +297,78 @@ class TestMpcStep:
         )
         assert sol.converged
         assert u_exc[0] > u_plain[0] + 0.1
+
+
+@pytest.fixture(scope="module")
+def true_model_week_seed29():
+    """The first 32 steps of the table2 MPC leg (true model) at seed 29, with
+    every horizon problem and its solution recorded by start time."""
+    net = two_zone_example()
+    config = ScenarioConfig(
+        name="mpc-week", network=net, weather=comparison_weather(),
+        controller="mpc", estimator=False, duration_steps=32, seed=29,
+        force_mpc=True, frozen_params=minimal_parameterization(net),
+    )
+    solved = []
+    solve = mpc_module.solve_mpc
+
+    def recording(problem):
+        solution = solve(problem)
+        solved.append((problem, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc_module, "solve_mpc", recording)
+        report = run_scenario(config)
+    times = [row.time for row in report.trace.rows]
+    return report, dict(zip(times, solved))
+
+
+def test_true_model_week_seed29_no_fallback(true_model_week_seed29):
+    # the solves at t=450 and t=465 of this week jammed Mehrotra's corrector
+    # against a cone boundary until the stall rule fired
+    report, solved = true_model_week_seed29
+    assert [e for e in report.events if e.kind == "mpc-failure"] == []
+    assert {row.mode for row in report.trace.rows} == {"mpc"}
+    assert all(sol.converged for _, sol in solved.values())
+
+
+def smoothed_cost(problem, G, d, eps=1e-7):
+    """The closed-form horizon cost and its gradient, with both RMS terms
+    smoothed at their kink as sqrt(mean square + eps^2)."""
+    cfg = problem.config
+    h, n = cfg.horizon, problem.model.n_internal
+    r_min = problem.r_min.reshape(-1)
+    r_max = problem.r_max.reshape(-1)
+    r_h = problem.r[-1]
+
+    def f(u):
+        T = G @ u + d
+        excess = T - np.clip(T, r_min, r_max)
+        band = np.sqrt(excess @ excess / (n * h) + eps**2)
+        miss = T[-n:] - r_h
+        terminal = np.sqrt(miss @ miss / n + eps**2)
+        dT = cfg.Q * excess / (n * h * band)
+        dT[-n:] += cfg.Q_togo * miss / (n * terminal)
+        J = cfg.Q * band + cfg.R * u.sum() + cfg.Q_togo * terminal
+        return J, G.T @ dT + cfg.R
+
+    return f
+
+
+def test_ipm_matches_full_horizon_oracle(true_model_week_seed29):
+    """Bounded quasi-Newton on the closed-form cost, from the IPM answer and
+    from zero, finds nothing cheaper than the IPM on full h=96 instances."""
+    _, solved = true_model_week_seed29
+    times = sorted(solved)
+    sample = sorted(set(times[::6]) | {450.0, 465.0})
+    for t in sample:
+        problem, sol = solved[t]
+        _, G, d = _condense(problem)
+        f = smoothed_cost(problem, G, d)
+        for start in (sol.u.reshape(-1), np.zeros(G.shape[1])):
+            res = minimize(f, start, jac=True, method="L-BFGS-B",
+                           bounds=[(0.0, 1.0)] * G.shape[1],
+                           options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-11})
+            oracle, _, _ = _closed_form_cost(problem, np.clip(res.x, 0.0, 1.0), G, d)
+            assert sol.cost <= oracle + 1e-6, f"t={t}: ipm {sol.cost} oracle {oracle}"

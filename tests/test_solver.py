@@ -103,20 +103,3 @@ def test_find_strictly_feasible_negative_case():
     A = np.array([[-1.0], [1.0]])
     b = np.array([-1.0, 0.0])
     assert find_strictly_feasible(A, b) is None
-
-
-def test_gram_callback_equivalent():
-    rng = np.random.default_rng(5)
-    n, m = 4, 10
-    A_rand = rng.normal(size=(m, n))
-    A_box, b_box = box_rows(n, -3.0, 3.0)
-    A = np.vstack([A_rand, A_box])
-    b = np.concatenate([A_rand @ np.zeros(n) + 1.0, b_box])
-    c = rng.normal(size=n)
-    plain = solve(ConicProgram(c=c, A=A, b=b), np.zeros(n))
-    structured = solve(
-        ConicProgram(c=c, A=A, b=b, gram=lambda w: A.T @ (w[:, None] * A)),
-        np.zeros(n),
-    )
-    assert plain.optimal and structured.optimal
-    np.testing.assert_allclose(plain.x, structured.x, atol=1e-7)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_solve
 
 from .errors import SolverFailure, ValidationError
@@ -119,7 +118,7 @@ def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray,
     for k in range(1, h + 1):
         powers[k] = model.Phi @ powers[k - 1]
     G = _block_toeplitz(powers[:h] @ model.Gamma_ctrl)
-    forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast.reshape(-1)
+    forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast[:h].reshape(-1)
     d = (powers[1:] @ T0).reshape(-1) + forced
     return G, d
 
@@ -138,6 +137,9 @@ def _condense(problem: MpcProblem):
     u are the controls, w the band slacks, t1 the epigraph of the slack RMS
     cone ||w|| <= t1 and t2 that of the terminal cone ||T(h) - r(h)|| <= t2.
     """
+    # imported here, so that runs that never control by MPC do not load it
+    from scipy import sparse
+
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.sparse import diags_array, issparse
 
 from .errors import SolverFailure
 
@@ -99,7 +98,7 @@ def factor_newton(M: np.ndarray):
 
 def dense_kkt(prob: "ConicProgram") -> KktHook:
     """The reference hook: the reduced Newton matrix assembled densely."""
-    A = prob.A.toarray() if issparse(prob.A) else prob.A
+    A = prob.A.toarray() if _is_sparse(prob.A) else prob.A
     gram = [np.outer(cone.d, cone.d) + cone.F.T @ cone.F for cone in prob.cones]
 
     def kkt(wts, scalings):
@@ -244,12 +243,13 @@ def solve(
     c = np.asarray(prob.c, dtype=float)
 
     # row equilibration of the linear block keeps multipliers commensurate
-    if issparse(prob.A):
-        row_max = abs(prob.A).max(axis=1).toarray()
+    row_max = abs(prob.A).max(axis=1)
+    if _is_sparse(prob.A):
+        row_scale = 1.0 / np.maximum(row_max.toarray(), 1.0)
+        A = prob.A.multiply(row_scale[:, None]).tocsr()
     else:
-        row_max = np.max(np.abs(prob.A), axis=1)
-    row_scale = 1.0 / np.maximum(row_max, 1.0)
-    A = diags_array(row_scale) @ prob.A
+        row_scale = 1.0 / np.maximum(row_max, 1.0)
+        A = prob.A * row_scale[:, None]
     b = prob.b * row_scale
     At = _transposed(A)
     Ft = [_transposed(cone.F) for cone in prob.cones]
@@ -502,9 +502,14 @@ def solve(
     )
 
 
+def _is_sparse(M) -> bool:
+    """A ``scipy.sparse`` array, told apart without importing scipy.sparse."""
+    return hasattr(M, "tocsr")
+
+
 def _transposed(M):
     """M' in a layout with fast products: CSR when sparse, a view when dense."""
-    return M.T.tocsr() if issparse(M) else M.T
+    return M.T.tocsr() if _is_sparse(M) else M.T
 
 
 def _apply_winv2(blk: _SocBlock, u: np.ndarray) -> np.ndarray:

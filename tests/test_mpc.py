@@ -4,7 +4,6 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from thermobench import mpc as mpc_module
-
 from thermobench.errors import ValidationError
 from thermobench.harness import ScenarioConfig, run_scenario
 from thermobench.mpc import (

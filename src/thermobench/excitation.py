@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .mpc import MpcConfig, MpcSolution, prediction_matrices
+from .mpc import MpcConfig, MpcSolution, mpc_step, prediction_matrices
 from .network import (
     DiscreteDynamics,
     ParameterVector,
@@ -26,7 +26,7 @@ from .network import (
     assemble_continuous,
     discretize,
 )
-from .simulator import OccupancySchedule, WeatherModel
+from .simulator import OccupancySchedule, PlantModel, WeatherModel
 from .solver import ConicProgram, find_strictly_feasible, solve
 
 
@@ -201,6 +201,7 @@ def generate_montecarlo(
     weather: WeatherModel,
     T0: np.ndarray,
     duration_steps: int,
+    dt: float,
     n_samples: int,
     seed: int,
 ) -> EnergySensitivity:
@@ -209,7 +210,8 @@ def generate_montecarlo(
     Each sample draws a plant parameterization from the estimate
     distribution (resampling any non-positive draw), runs the predictive
     controller built on the mean estimate against that plant, and records
-    total control effort. Slopes come from per-parameter least squares.
+    total control effort over ``duration_steps`` steps of ``dt`` minutes.
+    Slopes come from per-parameter least squares.
     """
     if n_samples < 2:
         raise ValidationError("need at least two samples")
@@ -224,7 +226,7 @@ def generate_montecarlo(
         )
     rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / n_p * np.eye(n_p))
-    mean_model = discretize(assemble_continuous(params, topology), mpc_config.dt)
+    mean_model = discretize(assemble_continuous(params, topology), dt)
     samples = np.empty((n_samples, n_p))
     energies = np.empty(n_samples)
     resampled = 0
@@ -261,22 +263,19 @@ def generate_montecarlo(
 
 def _closed_loop_energy(plant_pv, topology, controller_model, cfg, sched,
                         weather, T0, duration_steps):
-    from .simulator import PlantModel
-    from .mpc import mpc_step
-
     plant = PlantModel.from_parameters(plant_pv, topology)
     state = plant.initial_state(
         {nid: T0[i] for i, nid in enumerate(topology.internal_ids)}, weather
     )
     energy = 0.0
     int_pos = plant._int_pos
+    dt = controller_model.dt
     for k in range(duration_steps):
-        t = k * cfg.dt
-        u, sol = mpc_step(
-            controller_model, state.true_temps[int_pos], t, sched, weather, cfg
+        u, _ = mpc_step(
+            controller_model, state.true_temps[int_pos], k * dt, sched, weather, cfg
         )
         energy += float(np.sum(u))
-        state = plant.step(state, u, weather, cfg.dt)
+        state = plant.step(state, u, weather, dt)
     return energy
 
 
@@ -344,17 +343,15 @@ def select_heuristic(
     r_max_now: np.ndarray,
     topology: ThermalNetwork,
     t: float,
-    dt: float = 15.0,
-    h_s: int = 4,
     min_gain: float = 0.5,
     bound_margin: float = 2.0,
 ) -> Optional[Experiment]:
     """Thermostat-era selection: heat one zone toward its upper bound briefly.
 
     Predicts (through the current model estimate) the mean extra separation
-    from running the target heater flat out over the short horizon; below
-    ``min_gain`` degrees of predicted gain, or without headroom under the
-    upper bound, nothing is emitted.
+    from running the target heater flat out over the short horizon, one step
+    per row of ``forecast``; below ``min_gain`` degrees of predicted gain, or
+    without headroom under the upper bound, nothing is emitted.
     """
     case = _choose_targets(candidate, topology)
     if case is None:
@@ -368,6 +365,7 @@ def select_heuristic(
         return None
 
     forecast = np.atleast_2d(np.asarray(forecast, float).reshape(len(forecast), -1))
+    h_s = len(forecast)
     T0 = np.array([temps[topology.index_of(z)] for z in zones])
     m = model.Gamma_ctrl.shape[1]
     u_on = np.zeros(m)
@@ -392,11 +390,6 @@ def select_heuristic(
 def select_optimal(
     candidates: Sequence[ExcitationCandidate],
     baseline: MpcSolution,
-    model: DiscreteDynamics,
-    T0: np.ndarray,
-    forecast: np.ndarray,
-    r_min: np.ndarray,
-    r_max: np.ndarray,
     selector: SelectorState,
     topology: ThermalNetwork,
     t: float,
@@ -412,21 +405,22 @@ def select_optimal(
     into two sign-fixed linear programs, one per direction, and the better
     one counts. The first candidate whose mean separation gain beats the
     threshold becomes an experiment and resets the threshold; if none
-    does, the threshold decays.
+    does, the threshold decays. The baseline's own problem supplies the
+    model, start temperatures, forecast and comfort band.
     """
+    problem = baseline.problem
+    model, T0, forecast = problem.model, problem.T0, problem.forecast
+    r_min, r_max = problem.r_min, problem.r_max
     h = baseline.u.shape[0]
-    n = model.n_internal
     if h < 4 * h_s:
         raise ValidationError("short horizon must be well inside the control horizon")
-    diagnostics: dict = {"evaluated": 0, "gains": [], "infeasible": 0}
+    diagnostics: dict = {"gains": []}
     zones = list(model.internal_ids)
     u_budget = budget_mult * float(np.sum(baseline.u))
-    forecast = np.atleast_2d(np.asarray(forecast, float).reshape(h, -1))
     for candidate in candidates:
         case = _choose_targets(candidate, topology)
         if case is None or _heat_target(case, topology) is None:
             continue
-        diagnostics["evaluated"] += 1
         best = None
         for direction in (1.0, -1.0):
             res = _separation_lp(
@@ -436,7 +430,6 @@ def select_optimal(
             if res is not None and (best is None or res[0] > best[0]):
                 best = res
         if best is None:
-            diagnostics["infeasible"] += 1
             continue
         J_exc, e_opt, u_opt = best
         J_base = _trajectory_separation(case, baseline.T_pred, forecast, zones)

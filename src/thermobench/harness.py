@@ -35,8 +35,9 @@ from .excitation import (
     variational_candidates,
 )
 from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
-from .mpc import MpcConfig, horizon_bounds, mpc_step
+from .mpc import MpcConfig, mpc_step
 from .network import (
+    DiscreteDynamics,
     ParameterVector,
     ThermalNetwork,
     assemble_continuous,
@@ -57,6 +58,7 @@ from .thermostat import ThermostatConfig, ThermostatState, compute_preheat, ther
 from .ukf import (
     UkfConfig,
     UkfModel,
+    UkfState,
     initial_state,
     mark_converged,
     parameter_covariance_block,
@@ -141,7 +143,6 @@ class RunReport:
     observability: list
     status: str
     manifest: dict = field(default_factory=dict)
-    weather_seed: int = 0
     duration_steps: int = 0
 
     def final_estimate_vector(self, template: ParameterVector) -> ParameterVector:
@@ -164,250 +165,300 @@ def convergence_criterion(
     if np.any(cov >= cfg.cov_tol):
         return False
     cutoff = now.time - cfg.drift_window
-    past = None
-    for rec in history:
-        if rec.time >= cutoff:
-            past = rec
-            break
+    past = next((rec for rec in history if rec.time >= cutoff), None)
     if past is None or now.time - past.time < cfg.drift_window - 1e-9:
         return False
     drift = np.abs(now.means - past.means) / np.maximum(np.abs(now.means), 1e-300)
     return bool(np.all(drift < cfg.drift_tol))
 
 
-def _acquisition_mode(t: float) -> str:
-    day = int(t // 1440.0)
-    if day == 0:
-        return "passive"
-    if day == 1:
-        return "uniform-heat"
-    return "excite"
+def step_policy(config: ScenarioConfig, t: float, converged: bool) -> tuple[str, Optional[str]]:
+    """The one controller decision of a step: its mode, and the selector that
+    may start an experiment.
+
+    The mode is ``protocol-passive``, ``protocol-uniform``, ``thermostat`` or
+    ``mpc`` (the trace label before a fallback or an experiment relabels it).
+    The selector is ``optimal``, ``heuristic`` or None. MPC is allowed when
+    forced, or for an MPC controller once the estimator, if any, converged.
+    """
+    phase = None
+    if config.protocol:
+        phase = ("protocol-passive", "protocol-uniform", "excite")[min(int(t // 1440.0), 2)]
+    mpc_allowed = config.force_mpc or (
+        config.controller != "thermostat" and (not config.estimator or converged)
+    )
+    mode = "mpc" if mpc_allowed else "thermostat"
+    if phase in ("protocol-passive", "protocol-uniform"):
+        mode = phase
+    selector = None
+    if config.estimator and (
+        config.controller == "mpc-with-excitation"
+        or (config.protocol == "acquisition" and phase == "excite")
+    ):
+        optimal = mpc_allowed and config.excitation_method != "heuristic-selector"
+        selector = "optimal" if optimal else "heuristic"
+    return mode, selector
+
+
+# the heuristic selector looks as many steps ahead as its forecast is long
+HEURISTIC_STEPS = 4
+
+
+def _seeded(truth: ParameterVector, rng, spread) -> ParameterVector:
+    """``truth`` with each RC product scaled by a factor drawn from ``spread``."""
+    n_p = len(truth.p)
+    factors = rng.uniform(*spread, size=n_p + len(truth.q))
+    return truth.with_values(truth.p * factors[:n_p], truth.q * factors[n_p:])
+
+
+class _Run:
+    """What the closed loop carries from one step to the next, as at t = 0."""
+
+    def __init__(self, config: ScenarioConfig):
+        net = config.network
+        self.config = config
+        self.truth = truth = minimal_parameterization(net)
+        self.plant = PlantModel(net)
+        self.weather = replace(config.weather, seed=config.seed)
+        self.plant_state = self.plant.initial_state(config.initial_temps, self.weather)
+        truth_model = discretize(assemble_continuous(truth, net), config.dt)
+        self.th_cfg = ThermostatConfig(config.schedule,
+                                       compute_preheat(truth_model, config.schedule))
+        # the control model, when it does not follow the estimate
+        self.fixed_model: Optional[DiscreteDynamics] = None
+        frozen = config.frozen_params
+        if frozen is not None:
+            self.fixed_model = discretize(assemble_continuous(frozen, net), config.dt)
+        elif not config.estimator:
+            self.fixed_model = truth_model
+        zones = self.plant.discrete.internal_ids
+        self.zone_rows = np.array([net.index_of(z_id) for z_id in zones])
+        self.th_state = ThermostatState.initial(len(self.plant.discrete.heated_ids))
+        self.u_prev = np.zeros(len(self.plant.discrete.heated_ids))
+        self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=tuple(zones))
+        self.selector = config.selector
+        self.experiment: Optional[Experiment] = None
+        self.mc_cache: dict = {}
+        self.obs_temps: list = []
+        self.obs_times: list = []
+        self.estimates: list[EstimateRecord] = []
+        self.events: list = []
+        self.converged_at: Optional[float] = None
+        self.status = "ok"
+        if config.estimator:
+            # the consensus bank's filters draw their parameter seeds after
+            # the main filter's and see the same measurements
+            rng = np.random.default_rng((config.seed, 0xA11))
+            spread = config.param_seed_spread
+            seeded = truth if config.start_at_truth else _seeded(truth, rng, spread)
+            z0 = measure(self.plant_state, config.meas_noise_std, (config.seed, 0xE0, 0))
+            self.ukf_model = UkfModel(net, config.ukf)
+            self.est_state: UkfState = initial_state(net, z0, seeded, config.ukf)
+            self.monitor = Monitor(config.monitor, truth, seeded)
+            self.events = self.monitor.events
+            self.bank = [initial_state(net, z0, _seeded(truth, rng, spread), config.ukf)
+                         for _ in range(config.consensus_bank)]
+            self.last_consensus = 0.0
+
+
+@dataclass
+class _Step:
+    """One step's shared inputs and what its stages decided."""
+
+    k: int
+    t: float
+    z: np.ndarray                     # measured node temperatures
+    temps: np.ndarray                 # measured zone temperatures
+    r_min: np.ndarray
+    r_max: np.ndarray
+    mode: str
+    selector: Optional[str]
+    model: Optional[DiscreteDynamics] = None
+    mpc: Optional[tuple] = None       # (u, solution) of the step's last mpc_step
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Execute the closed loop and optionally write the result files."""
-    net = config.network
-    dt = config.dt
-    truth = minimal_parameterization(net)
-    plant = PlantModel(net)
-    zones = list(plant.discrete.internal_ids)
-    n_zones = len(zones)
-    heated = list(plant.discrete.heated_ids)
-
-    weather = replace(config.weather, seed=config.seed)
-    plant_state = plant.initial_state(config.initial_temps, weather)
-
-    # controller plumbing
-    truth_model_15 = discretize(assemble_continuous(truth, net), dt)
-    sched = config.schedule
-    preheat = compute_preheat(truth_model_15, sched)
-    th_cfg = ThermostatConfig(schedule=sched, preheat_minutes=preheat)
-    th_state = ThermostatState.initial(len(heated))
-
-    # estimator plumbing
-    ukf_model = UkfModel(net, config.ukf) if config.estimator else None
-    est_state = None
-    monitor = None
-    estimates: list[EstimateRecord] = []
-    converged_at: Optional[float] = None
-    if config.estimator:
-        rng = np.random.default_rng((config.seed, 0xA11))
-        if config.start_at_truth:
-            seeded = truth
-        else:
-            lo, hi = config.param_seed_spread
-            factors = rng.uniform(lo, hi, size=len(truth.p) + len(truth.q))
-            seeded = truth.with_values(
-                truth.p * factors[: len(truth.p)], truth.q * factors[len(truth.p):]
-            )
-        z0 = measure(plant_state, config.meas_noise_std, (config.seed, 0xE0, 0))
-        est_state = initial_state(net, z0, seeded, config.ukf)
-        monitor = Monitor(config.monitor, truth, seeded)
-        # consensus bank: extra filters with independent parameter seeds that
-        # see the same measurements; agreement is checked on a fixed cadence
-        bank: list = []
-        n_params = len(truth.p) + len(truth.q)
-        for b in range(config.consensus_bank):
-            bf = rng.uniform(*config.param_seed_spread, size=n_params)
-            member_seed = truth.with_values(
-                truth.p * bf[: len(truth.p)], truth.q * bf[len(truth.p):]
-            )
-            bank.append(initial_state(net, z0, member_seed, config.ukf))
-        last_consensus = 0.0
-
-    trace = SimulationTrace(dt=dt, node_ids=net.node_ids, zone_ids=tuple(zones))
-    events = monitor.events if monitor is not None else []
-    mc_cache: dict = {}
-    selector = config.selector
-    experiment: Optional[Experiment] = None
-    u_prev = np.zeros(len(heated))
-    status = "ok"
-    mode = "thermostat"
-    obs_temps: list[np.ndarray] = []
-    obs_times: list[float] = []
-
+    run = _Run(config)
     for k in range(config.duration_steps):
-        t = k * dt
-        r_min_now, r_max_now = comfort_bounds(sched, t, n_zones)
-        z = measure(plant_state, config.meas_noise_std, (config.seed, 0xE0, k))
+        step = _estimate(run, k)
+        if step is None:
+            break
+        _excite(run, step)
+        u, mode = _control(run, step)
+        _advance_plant(run, step, u, mode)
 
-        # --- estimation ---------------------------------------------------
-        if config.estimator:
-            if k > 0:
-                boost = monitor.noise_boost(t)
-                try:
-                    pred = predict(est_state, u_prev, dt, ukf_model, noise_scale=boost)
-                    est_state = update(pred.state, z, ukf_model).state
-                    est_state = monitor.observe(est_state, t, pred.clamped)
-                    for b in range(len(bank)):
-                        bp = predict(bank[b], u_prev, dt, ukf_model)
-                        bank[b] = update(bp.state, z, ukf_model).state
-                except (NumericalDegeneracyError, PhysicsViolationError,
-                        np.linalg.LinAlgError) as exc:  # numerical degeneracy ends the run
-                    status = f"degenerate: {exc}"
-                    break
-            if bank and t - last_consensus >= config.monitor.consensus_every and k > 0:
-                last_consensus = t
-                report_c = consensus_test(
-                    [est_state] + bank, truth.param_names(),
-                    config.monitor.consensus_threshold,
-                )
-                detail = "agree" if report_c.consensus else (
-                    f"disagree (outlier filter {report_c.outlier()})"
-                )
-                monitor.events.append(MonitorEvent(t, "consensus", detail))
-            means = np.concatenate([est_state.p, est_state.q])
-            variances = np.abs(np.diag(est_state.P)[est_state.n_nodes:])
-            nees = _temperature_nees(est_state, plant_state.true_temps)
-            rec = EstimateRecord(t, means, variances, nees, est_state.converged)
-            estimates.append(rec)
-            if not est_state.converged and convergence_criterion(estimates, config.convergence):
-                est_state = mark_converged(est_state)
-                converged_at = t
-                estimates[-1] = replace(rec, converged=True)
-                monitor.events.append(MonitorEvent(t, "converged", ""))
-
-        if config.track_observability:
-            obs_temps.append(plant_state.true_temps.copy())
-            obs_times.append(t)
-
-        # --- era and model selection ---------------------------------------
-        if config.frozen_params is not None:
-            control_params = config.frozen_params
-        elif config.estimator:
-            control_params = truth.with_values(
-                np.maximum(est_state.p, 1e-8), np.maximum(est_state.q, 1e-8)
-            )
-        else:
-            control_params = truth
-        mpc_allowed = config.force_mpc or (
-            config.controller in ("mpc", "mpc-with-excitation")
-            and (not config.estimator or est_state.converged)
-        )
-
-        protocol_mode = _acquisition_mode(t) if config.protocol else None
-        excitation_on = (
-            config.controller == "mpc-with-excitation"
-            or (config.protocol == "acquisition" and protocol_mode == "excite")
-        )
-
-        # --- excitation -----------------------------------------------------
-        if experiment is not None and not experiment.active(t, dt):
-            experiment = None
-        if excitation_on and experiment is None and config.estimator:
-            experiment, selector = _try_excite(
-                config, est_state, ukf_model, truth, net, z, t,
-                r_min_now, r_max_now, selector, mpc_allowed, control_params,
-                weather, sched, monitor, mc_cache,
-            )
-
-        override_now = None
-        if experiment is not None:
-            row = experiment.bounds_row(t, dt)
-            if row is not None:
-                override_now = row
-
-        # --- control ---------------------------------------------------------
-        mode = "thermostat"
-        u = np.zeros(len(heated))
-        if protocol_mode == "passive":
-            mode = "protocol-passive"
-        elif protocol_mode == "uniform-heat":
-            occ = np.full(n_zones, sched.r_min_occ)
-            u, th_state = thermostat_control(
-                z[[net.index_of(z_id) for z_id in zones]], t, th_state, th_cfg,
-                override_r_min=occ if override_now is None else np.fmax(occ, override_now),
-            )
-            mode = "protocol-uniform"
-        elif mpc_allowed:
-            model_est = discretize(assemble_continuous(control_params, net), dt)
-            exp_override = _experiment_horizon_override(
-                experiment, t, dt, config.mpc.horizon, n_zones
-            )
-            u, sol = mpc_step(
-                model_est,
-                z[[net.index_of(z_id) for z_id in zones]],
-                t, sched, weather, config.mpc,
-                r_min_override=exp_override,
-            )
-            if sol.converged:
-                mode = "mpc"
-            else:
-                events.append(MonitorEvent(
-                    t, "mpc-failure",
-                    f"status={sol.status} iterations={sol.iterations} "
-                    f"gap={sol.kkt.get('gap', float('nan')):.3e}",
-                ))
-                u, th_state = thermostat_control(
-                    z[[net.index_of(z_id) for z_id in zones]], t, th_state, th_cfg,
-                    override_r_min=override_now,
-                )
-                mode = "thermostat-fallback"
-        else:
-            u, th_state = thermostat_control(
-                z[[net.index_of(z_id) for z_id in zones]], t, th_state, th_cfg,
-                override_r_min=override_now,
-            )
-        if experiment is not None and override_now is not None:
-            mode = "excitation"
-
-        # --- plant ------------------------------------------------------------
-        plant_state = plant.step(plant_state, u, weather, dt)
-        trace.append(TraceRow(
-            step=k, time=t,
-            true_temps=plant_state.true_temps.copy(),
-            measured_temps=z,
-            t_ext=float(plant_state.true_temps[net.index_of(net.external_ids[0])]),
-            u=u.copy(),
-            r_min=r_min_now, r_max=r_max_now,
-            mode=mode,
-        ))
-        u_prev = u
-
-    metrics = compute_metrics(trace)
+    metrics = compute_metrics(run.trace)
     observability = []
-    if config.track_observability and obs_temps:
-        observability = nullspace_trace(np.array(obs_temps), obs_times, truth, net)
+    if config.track_observability and run.obs_temps:
+        observability = nullspace_trace(
+            np.array(run.obs_temps), run.obs_times, run.truth, config.network
+        )
+    last = run.estimates[-1] if run.estimates else None
     report = RunReport(
         name=config.name,
         seed=config.seed,
         metrics=metrics,
-        trace=trace,
-        estimates=estimates,
-        events=list(events),
-        param_names=truth.param_names(),
-        final_params=estimates[-1].means if estimates else None,
-        final_variances=estimates[-1].variances if estimates else None,
-        truth_params=np.concatenate([truth.p, truth.q]),
-        converged_at=converged_at,
+        trace=run.trace,
+        estimates=run.estimates,
+        events=list(run.events),
+        param_names=run.truth.param_names(),
+        final_params=last.means if last else None,
+        final_variances=last.variances if last else None,
+        truth_params=np.concatenate([run.truth.p, run.truth.q]),
+        converged_at=run.converged_at,
         observability=observability,
-        status=status,
-        weather_seed=config.seed,
+        status=run.status,
         duration_steps=config.duration_steps,
     )
     if out_dir is not None:
         write_report(report, config, Path(out_dir))
     return report
+
+
+def _estimate(run: _Run, k: int) -> Optional[_Step]:
+    """Measure, filter, guard and test convergence, then decide the step's
+    policy. None when the estimator degenerates, which ends the run."""
+    config = run.config
+    t = k * config.dt
+    r_min, r_max = comfort_bounds(config.schedule, t, len(run.zone_rows))
+    z = measure(run.plant_state, config.meas_noise_std, (config.seed, 0xE0, k))
+    converged = False
+    if config.estimator:
+        monitor = run.monitor
+        if k > 0:
+            try:
+                pred = predict(run.est_state, run.u_prev, config.dt, run.ukf_model,
+                               noise_scale=monitor.noise_boost(t))
+                run.est_state = update(pred.state, z, run.ukf_model).state
+                run.est_state = monitor.observe(run.est_state, t, pred.clamped)
+                for b, member in enumerate(run.bank):
+                    bp = predict(member, run.u_prev, config.dt, run.ukf_model)
+                    run.bank[b] = update(bp.state, z, run.ukf_model).state
+            except (NumericalDegeneracyError, PhysicsViolationError,
+                    np.linalg.LinAlgError) as exc:  # numerical degeneracy ends the run
+                run.status = f"degenerate: {exc}"
+                return None
+            if run.bank and t - run.last_consensus >= config.monitor.consensus_every:
+                run.last_consensus = t
+                report = consensus_test(
+                    [run.est_state] + run.bank, run.truth.param_names(),
+                    config.monitor.consensus_threshold,
+                )
+                detail = "agree" if report.consensus else (
+                    f"disagree (outlier filter {report.outlier()})"
+                )
+                run.events.append(MonitorEvent(t, "consensus", detail))
+        est = run.est_state
+        rec = EstimateRecord(
+            t, np.concatenate([est.p, est.q]), np.abs(np.diag(est.P)[est.n_nodes:]),
+            _temperature_nees(est, run.plant_state.true_temps), est.converged,
+        )
+        run.estimates.append(rec)
+        if not est.converged and convergence_criterion(run.estimates, config.convergence):
+            run.est_state = mark_converged(est)
+            run.converged_at = t
+            run.estimates[-1] = replace(rec, converged=True)
+            run.events.append(MonitorEvent(t, "converged", ""))
+        converged = run.est_state.converged
+
+    if config.track_observability:
+        run.obs_temps.append(run.plant_state.true_temps.copy())
+        run.obs_times.append(t)
+    mode, selector = step_policy(config, t, converged)
+    return _Step(k, t, z, z[run.zone_rows], r_min, r_max, mode, selector)
+
+
+def _excite(run: _Run, step: _Step) -> None:
+    """Retire a finished experiment; when the policy names a selector and none
+    runs, ask it for one. The optimal selector's baseline is the step's own
+    MPC solution, which the control stage reuses when no experiment starts."""
+    config = run.config
+    if run.experiment is not None and not run.experiment.active(step.t, config.dt):
+        run.experiment = None
+    if step.selector is None or run.experiment is not None:
+        return
+    t, events = step.t, run.events
+    candidates = _candidates_for(run, step)
+    model = _control_model(run, step)
+    if step.selector == "optimal":
+        step.mpc = mpc_step(model, step.temps, t, config.schedule, run.weather, config.mpc)
+        baseline = step.mpc[1]
+        if baseline.converged:
+            run.experiment, run.selector, diag = select_optimal(
+                candidates, baseline, run.selector, config.network, t,
+            )
+            gains = ",".join(f"{g:.3f}" for g in diag["gains"])
+            events.append(MonitorEvent(
+                t, "selector",
+                f"optimal candidates={len(candidates)} gains=[{gains}] "
+                f"threshold={run.selector.threshold:.4f}",
+            ))
+    else:
+        forecast = weather_forecast(run.weather, t, HEURISTIC_STEPS, config.dt)
+        for cand in candidates:
+            run.experiment = select_heuristic(
+                cand, step.z, model, forecast, step.r_min, step.r_max, config.network, t,
+            )
+            if run.experiment is not None:
+                break
+        else:
+            events.append(MonitorEvent(
+                t, "selector", f"heuristic candidates={len(candidates)} no-gain"
+            ))
+    if run.experiment is not None:
+        events.append(MonitorEvent(t, "experiment", f"target={run.experiment.target}"))
+
+
+def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
+    """The step's heater command and trace label: a failed MPC solve falls
+    back to the thermostat, and a step inside an experiment is so labelled."""
+    config = run.config
+    row = run.experiment.bounds_row(step.t, config.dt) if run.experiment is not None else None
+    override = row
+    mode = step.mode
+    u = np.zeros(len(run.u_prev))
+    if mode == "mpc":
+        exp_override = _experiment_horizon_override(
+            run.experiment, step.t, config.dt, config.mpc.horizon, len(step.temps)
+        )
+        if step.mpc is None or exp_override is not None:
+            step.mpc = mpc_step(
+                _control_model(run, step), step.temps, step.t, config.schedule,
+                run.weather, config.mpc, r_min_override=exp_override,
+            )
+        u, sol = step.mpc
+        if not sol.converged:
+            run.events.append(MonitorEvent(
+                step.t, "mpc-failure",
+                f"status={sol.status} iterations={sol.iterations} "
+                f"gap={sol.kkt.get('gap', float('nan')):.3e}",
+            ))
+            mode = "thermostat-fallback"
+    elif mode == "protocol-uniform":
+        occ = np.full(len(step.temps), config.schedule.r_min_occ)
+        override = occ if row is None else np.fmax(occ, row)
+    if mode in ("thermostat", "thermostat-fallback", "protocol-uniform"):
+        u, run.th_state = thermostat_control(
+            step.temps, step.t, run.th_state, run.th_cfg, override_r_min=override,
+        )
+    return u, mode if row is None else "excitation"
+
+
+def _advance_plant(run: _Run, step: _Step, u: np.ndarray, mode: str) -> None:
+    """Apply the command for one step and record it."""
+    net = run.config.network
+    run.plant_state = run.plant.step(run.plant_state, u, run.weather, run.config.dt)
+    run.trace.append(TraceRow(
+        step=step.k, time=step.t,
+        true_temps=run.plant_state.true_temps.copy(),
+        measured_temps=step.z,
+        t_ext=float(run.plant_state.true_temps[net.index_of(net.external_ids[0])]),
+        u=u.copy(),
+        r_min=step.r_min, r_max=step.r_max,
+        mode=mode,
+    ))
+    run.u_prev = u
 
 
 def _temperature_nees(est_state, true_temps) -> float:
@@ -424,90 +475,46 @@ def _experiment_horizon_override(experiment, t, dt, horizon, n_zones):
     """Experiment bounds written onto the controller's horizon grid."""
     if experiment is None:
         return None
-    override = np.full((horizon, n_zones), np.nan)
-    any_set = False
-    for k in range(1, horizon + 1):
-        row = experiment.bounds_row(t + k * dt, dt)
-        if row is not None:
-            override[k - 1] = row
-            any_set = True
-    return override if any_set else None
+    rows = [experiment.bounds_row(t + k * dt, dt) for k in range(1, horizon + 1)]
+    if all(row is None for row in rows):
+        return None
+    return np.array([np.full(n_zones, np.nan) if row is None else row for row in rows])
 
 
-def _candidates_for(config, est_state, truth, net, z, t, mc_cache):
-    method = config.excitation_method
-    pv_est = truth.with_values(
-        np.maximum(est_state.p, 1e-8), np.maximum(est_state.q, 1e-8)
-    )
-    if method in ("eigen", "heuristic-selector", "optimal-selector"):
-        return generate_eigen(parameter_covariance_block(est_state), pv_est, net)
-    if method == "variational":
-        return variational_candidates(pv_est, net, z)
-    if method == "montecarlo":
+def _estimated_params(run: _Run) -> ParameterVector:
+    est = run.est_state
+    return run.truth.with_values(np.maximum(est.p, 1e-8), np.maximum(est.q, 1e-8))
+
+
+def _control_model(run: _Run, step: _Step) -> DiscreteDynamics:
+    """The step's control model, built at most once per step (once per run
+    when it does not follow the estimate)."""
+    if step.model is None:
+        step.model = run.fixed_model if run.fixed_model is not None else discretize(
+            assemble_continuous(_estimated_params(run), run.config.network), run.config.dt
+        )
+    return step.model
+
+
+def _candidates_for(run: _Run, step: _Step):
+    config, est, net = run.config, run.est_state, run.config.network
+    pv_est = _estimated_params(run)
+    if config.excitation_method == "variational":
+        return variational_candidates(pv_est, net, step.z)
+    if config.excitation_method == "montecarlo":
         # the sampled closed-loop runs are expensive: re-rank once per day
-        day = int(t // 1440.0)
-        if day not in mc_cache:
+        day = int(step.t // 1440.0)
+        if day not in run.mc_cache:
             sens = generate_montecarlo(
-                pv_est, parameter_covariance_block(est_state), net,
+                pv_est, parameter_covariance_block(est), net,
                 replace(config.mpc, horizon=24), config.schedule, config.weather,
-                np.array([est_state.temps[net.index_of(z_)] for z_ in net.internal_ids]),
-                duration_steps=16, n_samples=6, seed=(config.seed, 0x3C, day),
+                est.temps[run.zone_rows], duration_steps=16, dt=config.dt,
+                n_samples=6, seed=(config.seed, 0x3C, day),
             )
-            mc_cache[day] = montecarlo_candidates(sens, pv_est, net)
-        return mc_cache[day]
-    raise ValidationError(f"unsupported excitation method {method!r}")
-
-
-def _try_excite(config, est_state, ukf_model, truth, net, z, t,
-                r_min_now, r_max_now, selector, mpc_allowed, control_params,
-                weather, sched, monitor, mc_cache):
-    """Generate candidates and ask the era-appropriate selector for an experiment."""
-    candidates = _candidates_for(config, est_state, truth, net, z, t, mc_cache)
-    model_est = discretize(assemble_continuous(control_params, net), config.dt)
-    use_optimal = config.excitation_method == "optimal-selector" or (
-        mpc_allowed and config.excitation_method != "heuristic-selector"
-    )
-    experiment = None
-    if use_optimal and mpc_allowed:
-        h = config.mpc.horizon
-        r_min_h, r_max_h = horizon_bounds(sched, t, h, config.dt, len(r_min_now))
-        forecast = weather_forecast(weather, t, h, config.dt)
-        from .mpc import build_mpc_problem, solve_mpc
-        baseline = solve_mpc(build_mpc_problem(
-            model_est, z[[net.index_of(zid) for zid in model_est.internal_ids]],
-            forecast, r_min_h, r_max_h, config.mpc,
-        ))
-        if baseline.converged:
-            experiment, selector, diag = select_optimal(
-                candidates, baseline, model_est,
-                z[[net.index_of(zid) for zid in model_est.internal_ids]],
-                forecast, r_min_h, r_max_h, selector, net, t,
-            )
-            if monitor is not None:
-                gains = ",".join(f"{g:.3f}" for g in diag["gains"])
-                monitor.events.append(MonitorEvent(
-                    t, "selector",
-                    f"optimal candidates={len(candidates)} gains=[{gains}] "
-                    f"threshold={selector.threshold:.4f}",
-                ))
-    else:
-        forecast = weather_forecast(weather, t, 4, config.dt)
-        tried = 0
-        for cand in candidates:
-            tried += 1
-            experiment = select_heuristic(
-                cand, z, model_est, forecast, r_min_now, r_max_now, net, t,
-                dt=config.dt,
-            )
-            if experiment is not None:
-                break
-        if monitor is not None and experiment is None:
-            monitor.events.append(MonitorEvent(
-                t, "selector", f"heuristic candidates={tried} no-gain"
-            ))
-    if experiment is not None and monitor is not None:
-        monitor.events.append(MonitorEvent(t, "experiment", f"target={experiment.target}"))
-    return experiment, selector
+            run.mc_cache[day] = montecarlo_candidates(sens, pv_est, net)
+        return run.mc_cache[day]
+    # eigen, and the generator of both selector methods
+    return generate_eigen(parameter_covariance_block(est), pv_est, net)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +662,7 @@ def compare_runs(a: RunReport, b: RunReport) -> Comparison:
     """Side-by-side metrics of two runs over the same scenario conditions."""
     if a.duration_steps != b.duration_steps:
         raise ValidationError("runs have different durations")
-    if a.weather_seed != b.weather_seed:
+    if a.seed != b.seed:
         raise ValidationError("runs saw different weather")
     da, db = a.metrics.as_dict(), b.metrics.as_dict()
     return Comparison.of((key, float(da[key]), float(db[key])) for key in da)

@@ -29,7 +29,6 @@ class MpcConfig:
     Q: float = 10.0
     R: float = 1.0
     Q_togo: float = 1.0
-    dt: float = 15.0
     solver_tol: float = 1e-8
     max_iter: int = 200
 
@@ -78,6 +77,7 @@ class MpcSolution:
     status: str
     iterations: int
     kkt: dict
+    problem: MpcProblem    # the problem this solves
 
     @property
     def converged(self) -> bool:
@@ -314,7 +314,7 @@ def solve_mpc(problem: MpcProblem) -> MpcSolution:
     except SolverFailure:
         return MpcSolution(
             u=np.zeros((h, m)), T_pred=d.reshape(h, n), w=np.zeros((h, n)),
-            cost=np.inf, status="failed", iterations=0, kkt={},
+            cost=np.inf, status="failed", iterations=0, kkt={}, problem=problem,
         )
 
     u_flat = np.clip(sol.x[:nu], 0.0, 1.0)
@@ -337,6 +337,7 @@ def solve_mpc(problem: MpcProblem) -> MpcSolution:
             "dual_residual": sol.dual_residual,
             "max_violation": sol.max_violation,
         },
+        problem=problem,
     )
 
 
@@ -363,16 +364,17 @@ def mpc_step(
 ) -> tuple[np.ndarray, MpcSolution]:
     """One receding-horizon step: solve from current measurements, return u(0).
 
+    The horizon advances by the model's own step ``model.dt``.
     ``r_min_override`` is an (h, n) array of experiment-raised lower bounds
     (NaN where unmodified). A failed solve returns a zero command with the
     failure status so the caller can fall back to the thermostat.
     """
     h, n = config.horizon, model.n_internal
-    r_min, r_max = horizon_bounds(sched, t, h, config.dt, n)
+    r_min, r_max = horizon_bounds(sched, t, h, model.dt, n)
     if r_min_override is not None:
         mask = ~np.isnan(r_min_override)
         r_min[mask] = np.maximum(r_min[mask], r_min_override[mask])
-    forecast = weather_forecast(weather, t, h, config.dt)
+    forecast = weather_forecast(weather, t, h, model.dt)
     problem = build_mpc_problem(model, measured_internal, forecast, r_min, r_max, config)
     solution = solve_mpc(problem)
     if not solution.converged:

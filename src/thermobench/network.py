@@ -179,9 +179,6 @@ class ParameterVector:
         if len(set(self.zone_map)) != len(self.zone_map):
             raise ValidationError("zone_map has duplicate entries")
 
-    def is_physical(self) -> bool:
-        return bool(np.all(self.p > 0) and np.all(self.q > 0))
-
     def with_values(self, p: np.ndarray, q: np.ndarray) -> "ParameterVector":
         """Same index maps, new numeric values."""
         return ParameterVector(np.asarray(p, float), np.asarray(q, float),

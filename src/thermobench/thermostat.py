@@ -25,7 +25,6 @@ class ThermostatConfig:
     preheat_minutes: tuple[float, ...]
     hysteresis_minutes: float = 15.0
     deadband: float = 1.0
-    design_ext_temp: float = 32.0
 
     def __post_init__(self):
         if any(p < 0 for p in self.preheat_minutes):
@@ -47,14 +46,14 @@ class ThermostatState:
 
 
 def compute_preheat(model: DiscreteDynamics, sched: OccupancySchedule,
-                    design_ext_temp: float = 32.0, max_hours: float = 48.0,
-                    control_step: float = 15.0) -> tuple[float, ...]:
+                    design_ext_temp: float = 32.0,
+                    max_hours: float = 48.0) -> tuple[float, ...]:
     """Size the per-zone preheat lead at the design ambient temperature.
 
     Simulates the building from the unoccupied lower set point with every
     heater at full output and the ambient held at ``design_ext_temp``,
     records when each zone first reaches the occupied lower set point, and
-    rounds those times up to whole control steps.
+    rounds those times up to whole steps of the model.
     """
     n = model.n_internal
     m = model.Gamma_ctrl.shape[1]
@@ -77,8 +76,8 @@ def compute_preheat(model: DiscreteDynamics, sched: OccupancySchedule,
             f"zone {zone} cannot reach {sched.r_min_occ} at ambient "
             f"{design_ext_temp} within {max_hours} h",
         )
-    steps = np.ceil(reach / control_step - 1e-9)
-    return tuple(float(s * control_step) for s in steps)
+    steps = np.ceil(reach / model.dt - 1e-9)
+    return tuple(float(s * model.dt) for s in steps)
 
 
 def active_lower_bounds(cfg: ThermostatConfig, t: float, n_zones: int) -> np.ndarray:

@@ -303,8 +303,7 @@ class TestSelectOptimal:
         base = self.baseline(model, T0, forecast, r_min, r_max, h, Q_togo=0.0)
         cands = generate_eigen(np.eye(4), minimal_parameterization(net), net)
         exp, state, diag = select_optimal(
-            cands, base, model, T0, forecast, r_min, r_max,
-            SelectorState(threshold=0.5), net, t,
+            cands, base, SelectorState(threshold=0.5), net, t,
             h_s=h_s, budget_mult=1.0,
         )
         assert exp is None
@@ -321,8 +320,7 @@ class TestSelectOptimal:
         base = self.baseline(model, T0, forecast, r_min, r_max, h)
         cands = generate_eigen(np.eye(4), minimal_parameterization(net), net)
         exp, state, diag = select_optimal(
-            cands, base, model, T0, forecast, r_min, r_max,
-            SelectorState(threshold=0.25), net, 0.0, h_s=h_s,
+            cands, base, SelectorState(threshold=0.25), net, 0.0, h_s=h_s,
         )
         assert exp is None
 
@@ -340,8 +338,7 @@ class TestSelectOptimal:
         cands = generate_eigen(np.diag([9.0, 0.1, 4.0, 0.1]),
                                minimal_parameterization(net), net)
         exp, state, diag = select_optimal(
-            cands, base, model, T0, forecast, r_min, r_max,
-            SelectorState(threshold=0.3), net, t, h_s=h_s, budget_mult=1.5,
+            cands, base, SelectorState(threshold=0.3), net, t, h_s=h_s, budget_mult=1.5,
         )
         assert exp is not None
         assert state.threshold == SelectorState().initial
@@ -357,7 +354,7 @@ class TestMonteCarlo:
         res = generate_montecarlo(
             pv, np.zeros((4, 4)), net, MpcConfig(horizon=8),
             OccupancySchedule(), WeatherModel(mean_temp=25.0),
-            np.array([70.0, 70.0]), duration_steps=4, n_samples=4, seed=1,
+            np.array([70.0, 70.0]), duration_steps=4, dt=15.0, n_samples=4, seed=1,
         )
         assert res.zero_information
 
@@ -367,7 +364,7 @@ class TestMonteCarlo:
             topology=net, mpc_config=MpcConfig(horizon=8),
             sched=OccupancySchedule(),
             weather=WeatherModel(mean_temp=25.0, daily_amp=10.0),
-            T0=np.array([69.0, 69.0]), duration_steps=4, n_samples=3, seed=11,
+            T0=np.array([69.0, 69.0]), duration_steps=4, dt=15.0, n_samples=3, seed=11,
         )
         cov = np.diag((0.2 * pv.p) ** 2)
         a = generate_montecarlo(pv, cov, **kw)
@@ -382,7 +379,7 @@ class TestMonteCarlo:
             pv, cov, net, MpcConfig(horizon=16),
             OccupancySchedule(),
             WeatherModel(mean_temp=15.0, daily_amp=20.0),
-            np.array([63.0, 63.0]), duration_steps=16, n_samples=8, seed=5,
+            np.array([63.0, 63.0]), duration_steps=16, dt=15.0, n_samples=8, seed=5,
         )
         assert not res.zero_information
         assert np.argmax(res.tstats) == 0

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermobench import mpc
 from thermobench.errors import NumericalDegeneracyError, ValidationError
+from thermobench.excitation import SelectorState
 from thermobench.harness import (
     ConvergenceConfig,
     EstimateRecord,
@@ -14,10 +16,16 @@ from thermobench.harness import (
     compare_runs,
     convergence_criterion,
     run_scenario,
+    step_policy,
 )
 from thermobench.cli import load_scenario, main
 from thermobench.network import two_zone_example
-from thermobench.presets import acquisition_config, comparison_weather, corrupted_params
+from thermobench.presets import (
+    acquisition_config,
+    acquisition_weather,
+    comparison_weather,
+    corrupted_params,
+)
 from thermobench.simulator import WeatherModel
 
 
@@ -136,6 +144,56 @@ class TestRunScenario:
         report = run_scenario(tiny_config(duration_steps=4))
         assert report.status.startswith("degenerate:")
         assert len(report.trace) == 1
+
+
+class TestStepPolicy:
+    DAY = 1440.0
+
+    @pytest.mark.parametrize("overrides, t, converged, expected", [
+        ({}, 0.0, True, ("thermostat", None)),
+        ({"controller": "mpc"}, 0.0, False, ("thermostat", None)),
+        ({"controller": "mpc"}, 0.0, True, ("mpc", None)),
+        ({"force_mpc": True}, 0.0, False, ("mpc", None)),
+        ({"controller": "mpc", "estimator": False}, 0.0, False, ("mpc", None)),
+        ({"controller": "mpc-with-excitation", "estimator": False}, 0.0, False, ("mpc", None)),
+        ({"controller": "mpc-with-excitation"}, 0.0, False, ("thermostat", "heuristic")),
+        ({"controller": "mpc-with-excitation"}, 0.0, True, ("mpc", "optimal")),
+        ({"controller": "mpc-with-excitation", "excitation_method": "heuristic-selector"},
+         0.0, True, ("mpc", "heuristic")),
+        ({"controller": "mpc-with-excitation", "excitation_method": "optimal-selector"},
+         0.0, False, ("thermostat", "heuristic")),
+        ({"protocol": "acquisition"}, 0.0, False, ("protocol-passive", None)),
+        ({"protocol": "acquisition"}, DAY, False, ("protocol-uniform", None)),
+        ({"protocol": "acquisition"}, 2 * DAY, False, ("thermostat", "heuristic")),
+        ({"protocol": "acquisition", "force_mpc": True}, 2 * DAY, False, ("mpc", "optimal")),
+        ({"protocol": "acquisition-no-excitation"}, 2 * DAY, False, ("thermostat", None)),
+    ])
+    def test_mode_and_selector(self, overrides, t, converged, expected):
+        assert step_policy(tiny_config(**overrides), t, converged) == expected
+
+
+def test_selector_step_solves_its_mpc_problem_once(monkeypatch):
+    """A step whose selector starts no experiment controls with the
+    selector's baseline solution instead of solving the same problem again."""
+    config = ScenarioConfig(
+        name="online", network=two_zone_example(), weather=acquisition_weather(),
+        controller="mpc-with-excitation", estimator=True, duration_steps=3,
+        start_at_truth=True, force_mpc=True,
+        selector=SelectorState(threshold=1e9, initial=1e9),
+    )
+    calls = []
+    solve = mpc.solve_mpc
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(mpc, "solve_mpc", counting)
+    report = run_scenario(config)
+    assert [row.mode for row in report.trace.rows] == ["mpc"] * 3
+    assert sum(e.kind == "selector" for e in report.events) == 3
+    assert not any(e.kind == "experiment" for e in report.events)
+    assert len(calls) == 3
 
 
 class TestCompareRuns:

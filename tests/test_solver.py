@@ -103,3 +103,32 @@ def test_find_strictly_feasible_negative_case():
     A = np.array([[-1.0], [1.0]])
     b = np.array([-1.0, 0.0])
     assert find_strictly_feasible(A, b) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_several_cones_project_blockwise(seed):
+    # minimize sum_k t_k with ||x_k - z_k|| <= t_k over the unit box: the
+    # blocks decouple, so the optimum clips each z_k to the box on its own
+    sizes = (1, 3, 8)
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    z = rng.uniform(-2.0, 3.0, size=n)
+    A_box, b_box = box_rows(n, 0.0, 1.0)
+    A = np.hstack([A_box, np.zeros((2 * n, len(sizes)))])
+    c = np.concatenate([np.zeros(n), np.ones(len(sizes))])
+    cones = []
+    start = 0
+    for k, size in enumerate(sizes):
+        block = slice(start, start + size)
+        F = np.zeros((size, n + len(sizes)))
+        F[:, block] = np.eye(size)
+        d = np.zeros(n + len(sizes))
+        d[n + k] = 1.0
+        cones.append(ConeConstraint(F=F, g=-z[block], d=d))
+        start += size
+    sol = solve(ConicProgram(c=c, A=A, b=b_box, cones=tuple(cones)))
+    x_star = np.clip(z, 0.0, 1.0)
+    cost = sum(np.linalg.norm(part) for part in np.split(x_star - z, np.cumsum(sizes)[:-1]))
+    assert sol.optimal
+    assert abs(c @ sol.x - cost) <= 1e-6
+    np.testing.assert_allclose(sol.x[:n], x_star, atol=1e-4)

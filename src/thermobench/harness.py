@@ -108,8 +108,7 @@ class ScenarioConfig:
         if self.controller not in ("thermostat", "mpc", "mpc-with-excitation"):
             raise ValidationError(f"unknown controller {self.controller!r}")
         if self.excitation_method not in (
-            "eigen", "variational", "montecarlo",
-            "heuristic-selector", "optimal-selector",
+            "eigen", "variational", "montecarlo", "heuristic-selector",
         ):
             raise ValidationError(f"unknown excitation method {self.excitation_method!r}")
         if self.duration_steps < 0:
@@ -507,13 +506,13 @@ def _candidates_for(run: _Run, step: _Step):
         if day not in run.mc_cache:
             sens = generate_montecarlo(
                 pv_est, parameter_covariance_block(est), net,
-                replace(config.mpc, horizon=24), config.schedule, config.weather,
+                replace(config.mpc, horizon=24), config.schedule, run.weather,
                 est.temps[run.zone_rows], duration_steps=16, dt=config.dt,
                 n_samples=6, seed=(config.seed, 0x3C, day),
             )
             run.mc_cache[day] = montecarlo_candidates(sens, pv_est, net)
         return run.mc_cache[day]
-    # eigen, and the generator of both selector methods
+    # eigen, and the generator of the heuristic-selector method
     return generate_eigen(parameter_covariance_block(est), pv_est, net)
 
 

@@ -160,7 +160,7 @@ class TestStepPolicy:
         ({"controller": "mpc-with-excitation"}, 0.0, True, ("mpc", "optimal")),
         ({"controller": "mpc-with-excitation", "excitation_method": "heuristic-selector"},
          0.0, True, ("mpc", "heuristic")),
-        ({"controller": "mpc-with-excitation", "excitation_method": "optimal-selector"},
+        ({"controller": "mpc-with-excitation", "excitation_method": "heuristic-selector"},
          0.0, False, ("thermostat", "heuristic")),
         ({"protocol": "acquisition"}, 0.0, False, ("protocol-passive", None)),
         ({"protocol": "acquisition"}, DAY, False, ("protocol-uniform", None)),
@@ -170,6 +170,11 @@ class TestStepPolicy:
     ])
     def test_mode_and_selector(self, overrides, t, converged, expected):
         assert step_policy(tiny_config(**overrides), t, converged) == expected
+
+    def test_optimal_selector_method_is_gone(self):
+        # it behaved exactly as "eigen"; the name is now rejected
+        with pytest.raises(ValidationError, match="unknown excitation method"):
+            tiny_config(controller="mpc-with-excitation", excitation_method="optimal-selector")
 
 
 def test_selector_step_solves_its_mpc_problem_once(monkeypatch):
@@ -318,3 +323,27 @@ def test_montecarlo_excitation_method_runs():
     report = run_scenario(config)
     assert report.status == "ok"
     assert any(r.mode == "excitation" for r in report.trace.rows)
+
+
+def test_montecarlo_ranks_on_the_plant_weather(monkeypatch):
+    """The sampled closed-loop runs see the weather realisation the plant
+    sees, seeded by the scenario seed, not the weather model's own seed."""
+    from thermobench import harness
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def recording(params, covariance, topology, mpc_config, sched, weather, *args, **kwargs):
+        seen.append(weather)
+        raise Stop
+
+    monkeypatch.setattr(harness, "generate_montecarlo", recording)
+    config = tiny_config(controller="mpc-with-excitation", force_mpc=True, start_at_truth=True,
+                         excitation_method="montecarlo", seed=11)
+    assert config.weather.seed != config.seed
+    with pytest.raises(Stop):
+        run_scenario(config)
+    assert seen[0].seed == config.seed
+    assert seen[0] == replace(config.weather, seed=config.seed)

@@ -453,7 +453,7 @@ def _separation_lp(case, direction, model, T0, forecast, r_min, r_max,
     """One sign-fixed linear program over (controls, modified bounds)."""
     n = model.n_internal
     m = model.Gamma_ctrl.shape[1]
-    G, d = prediction_matrices(model, T0, forecast, h)
+    G, d, _ = prediction_matrices(model, T0, forecast, h)
     nu = h * m
     ne = h_s * n
     nvar = nu + ne

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
@@ -103,14 +104,15 @@ def build_mpc_problem(model: DiscreteDynamics, T0: np.ndarray, forecast: np.ndar
     )
 
 
-def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray,
-                        forecast: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray, forecast: np.ndarray,
+                        h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked affine map from controls to temperatures: T(1..h) = G u + d.
 
     ``u`` is the time-major flattened control sequence (h*m,), the result
     rows are time-major temperatures (h*n,). G is block lower-Toeplitz with
     blocks Phi^(k-j) Gamma_ctrl; the forecast enters through the same
-    Toeplitz structure of Phi^(k-j) Gamma_ext.
+    Toeplitz structure of Phi^(k-j) Gamma_ext. The third result holds the
+    powers Phi^0..Phi^h that both are built from, (h+1, n, n).
     """
     n = model.n_internal
     powers = np.empty((h + 1, n, n))
@@ -120,15 +122,16 @@ def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray,
     G = _block_toeplitz(powers[:h] @ model.Gamma_ctrl)
     forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast[:h].reshape(-1)
     d = (powers[1:] @ T0).reshape(-1) + forced
-    return G, d
+    return G, d, powers
 
 
 def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     """(h*n, h*m) block lower-triangular matrix with block (k, j) = blocks[k - j]."""
     h, n, m = blocks.shape
-    lag = np.arange(h)[:, None] - np.arange(h)[None, :]
-    out = np.where((lag >= 0)[:, :, None, None], blocks[np.maximum(lag, 0)], 0.0)
-    return out.transpose(0, 2, 1, 3).reshape(h * n, h * m)
+    # reversed and zero-padded, window h-1-k of the blocks holds block row k
+    padded = np.concatenate([blocks[::-1], np.zeros((h - 1, n, m))])
+    rows = sliding_window_view(padded, h, axis=0)[::-1]        # (k, n, m, j)
+    return rows.transpose(0, 1, 3, 2).reshape(h * n, h * m)
 
 
 def _condense(problem: MpcProblem):
@@ -144,7 +147,7 @@ def _condense(problem: MpcProblem):
     h = cfg.horizon
     n = problem.model.n_internal
     m = problem.model.Gamma_ctrl.shape[1]
-    G, d = prediction_matrices(problem.model, problem.T0, problem.forecast, h)
+    G, d, powers = prediction_matrices(problem.model, problem.T0, problem.forecast, h)
     nu, nw = h * m, h * n
     nvar = nu + nw + 2
 
@@ -152,15 +155,18 @@ def _condense(problem: MpcProblem):
     r_max = problem.r_max.reshape(-1)
 
     # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
-    # T = G u + d stored by G's block lower-triangular pattern
-    lower = np.arange(nu)[None, :] // m <= np.arange(nw)[:, None] // n
-    g_row, g_col = np.nonzero(lower)
-    g_val = G[lower]
+    # T = G u + d; a band row holds G's block lower-triangular part of its
+    # row, then its slack, and is written straight into CSR arrays
     iu, iw = np.arange(nu), np.arange(nw)
-    band = 2 * nu + nw
-    rows = [iu, nu + iu, 2 * nu + iw, band + g_row, band + iw, band + nw + g_row, band + nw + iw]
-    cols = [iu, iu, nu + iw, g_col, nu + iw, g_col, nu + iw]
-    vals = [-np.ones(nu), np.ones(nu), -np.ones(nw), -g_val, -np.ones(nw), g_val, -np.ones(nw)]
+    lower = iu[None, :] // m <= iw[:, None] // n
+    width = lower.sum(axis=1)
+    ends = np.cumsum(width)
+    g_val = G[lower]
+    band_cols = np.insert(np.broadcast_to(iu, lower.shape)[lower], ends, nu + iw)
+    data = [-np.ones(nu), np.ones(nu), -np.ones(nw),
+            np.insert(-g_val, ends, -1.0), np.insert(g_val, ends, -1.0)]
+    indices = [iu, iu, nu + iw, band_cols, band_cols]
+    counts = [np.ones(2 * nu + nw, dtype=int), width + 1, width + 1]
     b_parts = [np.zeros(nu), np.ones(nu), np.zeros(nw), d - r_min, r_max - d]
 
     c = np.zeros(nvar)
@@ -169,8 +175,7 @@ def _condense(problem: MpcProblem):
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
 
     cones = []
-    F1 = sparse.csr_array((np.ones(nw), (np.arange(nw), np.arange(nu, nu + nw))),
-                          shape=(nw, nvar))
+    F1 = sparse.csr_array((np.ones(nw), nu + iw, np.arange(nw + 1)), shape=(nw, nvar))
     d1 = np.zeros(nvar)
     d1[nu + nw] = 1.0
     cones.append(ConeConstraint(F=F1, g=np.zeros(nw), d=d1))
@@ -185,19 +190,57 @@ def _condense(problem: MpcProblem):
         cones.append(ConeConstraint(F=F2, g=d[(h - 1) * n:] - problem.r[-1], d=d2))
     else:
         # pin the unused epigraph variable: 0 <= t2 <= 1
-        rows.append(band + 2 * nw + np.arange(2))
-        cols.append(np.full(2, nvar - 1))
-        vals.append(np.array([1.0, -1.0]))
+        data.append(np.array([1.0, -1.0]))
+        indices.append(np.full(2, nvar - 1))
+        counts.append(np.ones(2, dtype=int))
         b_parts.append(np.array([1.0, 0.0]))
     b = np.concatenate(b_parts)
-    A = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    A = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
                          shape=(len(b), nvar))
 
-    prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), kkt=_condensed_kkt(G, n))
+    prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), kkt=_condensed_kkt(G, powers))
     return prog, G, d
 
 
-def _condensed_kkt(G: np.ndarray, n: int):
+def _weighted_gram(G: np.ndarray, powers: np.ndarray):
+    """Lower triangle of G' diag(alpha) G + G_h' W G_h, from the structure of G.
+
+    G_h is the last block row of G and W an (n, n) matrix or None. With D_k
+    the k-th n-block of alpha, plus W on the last, block (i, j) for i >= j
+    is Gamma' P_i Phi^(i-j) Gamma, where P_i = sum_l (Phi^l)' D_(i+l) Phi^l:
+    a Hankel product against the outer products of the rows of Phi^l, then
+    one batched product against the block rows of G. Returns
+    ``gram(alpha, W, out)``, which writes into ``out`` (an (h*m, h*m) array,
+    new when None) the blocks on and below the block diagonal, and zeros
+    above: the Cholesky factor reads only that triangle.
+    """
+    nw, nu = G.shape
+    h = len(powers) - 1
+    n, m = nw // h, nu // h
+    # row a of Phi^l times itself, (h*n, n*n) with rows (l, a)
+    outer = np.einsum("lab,lac->labc", powers[:h], powers[:h]).reshape(h * n, n * n)
+    # row i of the Hankel view is alpha from block i on, zeros past the horizon
+    padded = np.zeros((2 * h - 1) * n)
+    hankel = sliding_window_view(padded, h * n)[::n]
+    to_end = powers[h - 1::-1]                     # Phi^(h-1-i) for each i
+    Gamma = G[:n, :m]
+    G_rows = G.reshape(h, n, nu)
+
+    def gram(alpha, W=None, out=None):
+        padded[:nw] = alpha
+        P = (hankel @ outer).reshape(h, n, n)
+        if W is not None:
+            P += to_end.transpose(0, 2, 1) @ W @ to_end
+        if out is None:
+            out = np.empty((nu, nu))
+        np.matmul((P @ Gamma).transpose(0, 2, 1), G_rows, out=out.reshape(h, m, nu))
+        return out
+
+    return gram
+
+
+def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
     """Newton hook of the condensed program: eliminate (w, t1), factor (u, t2).
 
     In the variable order (u, w, t1, t2), with the row weights split by the
@@ -210,69 +253,82 @@ def _condensed_kkt(G: np.ndarray, n: int):
     - the terminal cone adds [G_h, e_t2]' W2^-2 [G_h, e_t2] on (u, t2), of
       rank n + 1, and pinned-t2 rows (when Q_togo = 0) add to t2 alone.
 
-    What is left is the Schur complement onto (u, t2): one Cholesky of
-    order h*m + 1 per iteration.
+    What is left is the Schur complement onto (u, t2), whose lower triangle
+    ``_weighted_gram`` assembles: one Cholesky of order h*m + 1 per iteration.
     """
     nw, nu = G.shape
+    n = powers.shape[1]
     G_h = G[-n:]
-    cut = np.cumsum([nu, nu, nw, nw, nw])
+    gram = _weighted_gram(G, powers)
     jsign = np.ones(n + 1)
     jsign[1:] = -1.0
+    diag_u = np.arange(nu)
+    S = np.empty((nu + 1, nu + 1))
+    work = np.empty((nu, nu))
 
     def kkt(wts, scalings):
-        s1, s2, s3, s4, s5, pinned = np.split(wts, cut)
-        pinned = float(pinned.sum())
+        s12 = wts[:nu] + wts[nu:2 * nu]
+        s3, s4, s5 = wts[2 * nu:3 * nw + 2 * nu].reshape(3, nw)
+        pinned = float(wts[2 * nu + 3 * nw:].sum())
         beta, v = scalings[0]
         U = np.empty((nw + 1, 2))                  # [Jv, v] in (w, t1) order
-        U[:nw, 0] = -v[1:]
         U[:nw, 1] = v[1:]
+        U[:nw, 0] = -U[:nw, 1]
         U[nw] = v[0]
-        C = np.array([[4.0 * float(v @ v), -2.0], [-2.0, 0.0]]) / beta**2
-        dg = np.full(nw + 1, 1.0 / beta**2)        # diagonal of the (w, t1) block
-        dg[:nw] += s3 + s4 + s5
-        Ud = U / dg[:, None]
-        K = np.linalg.solve(np.eye(2) + C @ (U.T @ Ud), C)
-        K = 0.5 * (K + K.T)
+        vv = float(v @ v)
+        C = np.array([[4.0 * vv, -2.0], [-2.0, 0.0]]) / beta**2
+        s345 = s3 + s4 + s5
+        inv_dg = np.empty(nw + 1)                  # inverse diagonal of the (w, t1) block
+        inv_dg[:nw] = 1.0 / (s345 + 1.0 / beta**2)
+        inv_dg[nw] = beta**2
+        Ud = U * inv_dg[:, None]
+        # K = (I + C U' Ud)^-1 C = (C^-1 + U' Ud)^-1, a symmetric 2x2 inverse
+        (a, b), (_, d) = U.T @ Ud
+        b -= 0.5 * beta**2
+        d -= beta**2 * vv
+        K = np.array([[d, -b], [-b, a]]) / (a * d - b * b)
+        UdK = Ud @ K
 
         def block_inv(y):
-            return y / dg - Ud @ (K @ (Ud.T @ y))
+            return y * inv_dg - UdK @ (Ud.T @ y)
 
         delta = s4 - s5
+        s45 = s4 + s5
         # s4 + s5 - delta^2 / dg_w, without the cancellation when s4 >> s5
-        alpha = ((s4 + s5) * (s3 + dg[nw]) + 4.0 * s4 * s5) / dg[:nw]
+        alpha = (s45 * (s3 + 1.0 / beta**2) + 4.0 * s4 * s5) * inv_dg[:nw]
         GtQ = G.T @ (delta[:, None] * Ud[:nw])
-        weighted = alpha[:, None] * G
-        S = np.zeros((nu + 1, nu + 1))
-        S[nu, nu] = pinned
         W2 = None
         if len(scalings) > 1:
             beta2, v2 = scalings[1]
             Jv2 = jsign * v2
             Winv = (2.0 * np.outer(Jv2, Jv2) - np.diag(jsign)) / beta2
             W2 = Winv @ Winv
-            weighted[-n:] += W2[1:, 1:] @ G_h
             S[:nu, nu] = S[nu, :nu] = G_h.T @ W2[1:, 0]
-            S[nu, nu] += W2[0, 0]
-        S[:nu, :nu] = G.T @ weighted + GtQ @ K @ GtQ.T
-        S[np.arange(nu), np.arange(nu)] += s1 + s2
-        factor = factor_newton(S)
+            S[nu, nu] = pinned + W2[0, 0]
+            gram(alpha, W2[1:, 1:], out=S[:nu, :nu])
+        else:
+            S[:nu, nu] = S[nu, :nu] = 0.0
+            S[nu, nu] = pinned
+            gram(alpha, out=S[:nu, :nu])
+        S[:nu, :nu] += np.matmul(GtQ @ K, GtQ.T, out=work)
+        S[diag_u, diag_u] += s12
+        factor = factor_newton(S)[0]
 
         def solve(r):
             y = block_inv(r[nu:-1])
-            x_a = cho_solve(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]),
-                            check_finite=False)
-            coupling = np.zeros(nw + 1)
-            coupling[:nw] = delta * (G @ x_a[:nu])
-            return np.concatenate([x_a[:nu], y - block_inv(coupling), x_a[nu:]])
+            x_a = dpotrs(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]), lower=1)[0]
+            y = r[nu:-1].copy()
+            y[:nw] -= delta * (G @ x_a[:nu])
+            return np.concatenate((x_a[:nu], block_inv(y), x_a[nu:]))
 
         def apply(x):
             u, w, t2 = x[:nu], x[nu:nu + nw], x[-1]
             Gu = G @ u
             y = x[nu:-1]
             out = np.empty_like(x)
-            out[:nu] = G.T @ ((s4 + s5) * Gu + delta * w) + (s1 + s2) * u
+            out[:nu] = G.T @ (s45 * Gu + delta * w) + s12 * u
             out[nu:-1] = y / beta**2 + U @ (C @ (U.T @ y))
-            out[nu:nu + nw] += delta * Gu + (s3 + s4 + s5) * w
+            out[nu:nu + nw] += delta * Gu + s345 * w
             out[-1] = pinned * t2
             if W2 is not None:
                 q = W2 @ np.concatenate([x[-1:], Gu[-n:]])

@@ -10,9 +10,11 @@ from thermobench.mpc import (
     MpcConfig,
     _closed_form_cost,
     _condense,
+    _weighted_gram,
     build_mpc_problem,
     horizon_bounds,
     mpc_step,
+    prediction_matrices,
     solve_mpc,
 )
 from thermobench.network import (
@@ -109,6 +111,32 @@ def test_structured_kkt_matches_dense():
                 assert np.linalg.norm(solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
                 scale = np.linalg.norm(M) * np.linalg.norm(ref)
                 assert np.linalg.norm(apply(ref) - M @ ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dt", [15.0, 30.0])
+@pytest.mark.parametrize("h", [1, 2, 12, 96])
+def test_toeplitz_gram_matches_dense_product(h, dt):
+    """The Schur block assembled from G's block lower-Toeplitz structure
+    equals G' diag(alpha) G + G_h' E G_h in its lower triangle, the one the
+    Cholesky factor reads, for weights spread over exp(+-18) as near
+    convergence; without E it is the case Q_togo = 0."""
+    rng = np.random.default_rng(h)
+    model = table1_model(dt)
+    n = model.n_internal
+    G, _, powers = prediction_matrices(model, np.array([66.0, 71.0]),
+                                       rng.uniform(10.0, 50.0, size=(h, 1)), h)
+    gram = _weighted_gram(G, powers)
+    G_h = G[-n:]
+    for terminal in (True, False):
+        alpha = np.exp(rng.uniform(-18.0, 18.0, size=G.shape[0]))
+        ref = G.T @ (alpha[:, None] * G)
+        E = None
+        if terminal:
+            B = rng.normal(size=(n, n))
+            E = B @ B.T * np.exp(rng.uniform(-18.0, 18.0))
+            ref += G_h.T @ E @ G_h
+        got = gram(alpha, E)
+        assert np.linalg.norm(np.tril(got - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestProblemConstruction:

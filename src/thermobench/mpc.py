@@ -211,9 +211,9 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
     is Gamma' P_i Phi^(i-j) Gamma, where P_i = sum_l (Phi^l)' D_(i+l) Phi^l:
     a Hankel product against the outer products of the rows of Phi^l, then
     one batched product against the block rows of G. Returns
-    ``gram(alpha, W, out)``, which writes into ``out`` (an (h*m, h*m) array,
-    new when None) the blocks on and below the block diagonal, and zeros
-    above: the Cholesky factor reads only that triangle.
+    ``gram(out, alpha, W)``, which writes into the (h*m, h*m) array ``out``
+    the blocks on and below the block diagonal, and zeros above: the
+    Cholesky factor reads only that triangle.
     """
     nw, nu = G.shape
     h = len(powers) - 1
@@ -227,15 +227,12 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
     Gamma = G[:n, :m]
     G_rows = G.reshape(h, n, nu)
 
-    def gram(alpha, W=None, out=None):
+    def gram(out, alpha, W=None):
         padded[:nw] = alpha
         P = (hankel @ outer).reshape(h, n, n)
         if W is not None:
             P += to_end.transpose(0, 2, 1) @ W @ to_end
-        if out is None:
-            out = np.empty((nu, nu))
         np.matmul((P @ Gamma).transpose(0, 2, 1), G_rows, out=out.reshape(h, m, nu))
-        return out
 
     return gram
 
@@ -305,11 +302,11 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             W2 = Winv @ Winv
             S[:nu, nu] = S[nu, :nu] = G_h.T @ W2[1:, 0]
             S[nu, nu] = pinned + W2[0, 0]
-            gram(alpha, W2[1:, 1:], out=S[:nu, :nu])
+            gram(S[:nu, :nu], alpha, W2[1:, 1:])
         else:
             S[:nu, nu] = S[nu, :nu] = 0.0
             S[nu, nu] = pinned
-            gram(alpha, out=S[:nu, :nu])
+            gram(S[:nu, :nu], alpha)
         S[:nu, :nu] += np.matmul(GtQ @ K, GtQ.T, out=work)
         S[diag_u, diag_u] += s12
         factor = factor_newton(S)[0]

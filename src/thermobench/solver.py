@@ -187,54 +187,64 @@ class _Cones:
                     and np.all(self._jdot(u[:, m:], u[:, m:]) > 0))
 
     def scale(self, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Compute W from the iterate (s, z); returns lambda = W z.
+        """Compute W from the iterate (s, z); returns lambda = W z."""
+        m = self.m
+        self.w_diag = np.empty_like(s)
+        self.w_diag[:m] = np.sqrt(s[:m] / z[:m])
+        if self.dims:
+            self._scale_cones(s[m:], z[m:])
+        self.winv_diag = 1.0 / self.w_diag
+        return self.w(z)
 
-        On each cone the scaling point satisfies P(w) z = s, and W is its
+    def _scale_cones(self, s: np.ndarray, z: np.ndarray) -> None:
+        """On each cone the scaling point satisfies P(w) z = s, and W is its
         square root, built from the Jordan square root of the normalized
-        point.
-        """
-        m, blk, jsign = self.m, self.block, self.jsign
-        s_c, z_c = s[m:], z[m:]
-        s_res = self._jdot(s_c, s_c)
-        z_res = self._jdot(z_c, z_c)
-        sbar = s_c / np.sqrt(s_res)[blk]
-        zbar = z_c / np.sqrt(z_res)[blk]
+        point."""
+        blk, jsign = self.block, self.jsign
+        s_res = self._jdot(s, s)
+        z_res = self._jdot(z, z)
+        sbar = s / np.sqrt(s_res)[blk]
+        zbar = z / np.sqrt(z_res)[blk]
         gamma = np.sqrt((1.0 + self.sums @ (sbar * zbar)) / 2.0)
         wbar = (sbar + jsign * zbar) / (2.0 * gamma)[blk]
-        v = (wbar + self.unit[m:]) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
+        v = (wbar + self.unit[self.m:]) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
         self.beta = (s_res / z_res) ** 0.25
         self.v = v
         beta = self.beta[blk]
-        self.w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), -jsign * beta])
-        self.winv_diag = 1.0 / self.w_diag
+        self.w_diag[self.m:] = -jsign * beta
         # W u = beta (2 v (v'u) - J u), W^-1 u = (2 Jv (Jv)'u - J u) / beta
         self.w_low, self.v_rows = 2.0 * beta * v, self.sums * v
         self.winv_low, self.jv_rows = 2.0 * jsign * v / beta, self.sums * (jsign * v)
-        return self.w(z)
 
     def scalings(self) -> list[tuple[float, np.ndarray]]:
         """(beta, v) of each second-order cone, as ``KktHook`` takes them."""
-        return [(float(beta), self.v[head:head + dim])
-                for beta, head, dim in zip(self.beta, self.heads, self.dims)]
+        return [(float(self.beta[k]), self.v[head:head + dim])
+                for k, (head, dim) in enumerate(zip(self.heads, self.dims))]
 
     def w(self, u: np.ndarray) -> np.ndarray:
         out = self.w_diag * u
-        out[self.m:] += self.w_low * (self.v_rows @ u[self.m:])[self.block]
+        if self.dims:
+            out[self.m:] += self.w_low * (self.v_rows @ u[self.m:])[self.block]
         return out
 
     def winv(self, u: np.ndarray) -> np.ndarray:
         out = self.winv_diag * u
-        out[self.m:] += self.winv_low * (self.jv_rows @ u[self.m:])[self.block]
+        if self.dims:
+            out[self.m:] += self.winv_low * (self.jv_rows @ u[self.m:])[self.block]
         return out
 
     def prod(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Jordan product u o w."""
         m = self.m
+        if not self.dims:
+            return u * w
         return np.concatenate([u[:m] * w[:m], self._prod(u[m:], w[m:])])
 
     def ldiv(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """lam^-1 o u; on a cone, the inverse J lam / (lam' J lam) first."""
         m = self.m
+        if not self.dims:
+            return u / lam
         lam_c = lam[m:]
         inv = self.jsign * lam_c / self._jdot(lam_c, lam_c)[self.block]
         return np.concatenate([u[:m] / lam[:m], self._prod(inv, u[m:])])

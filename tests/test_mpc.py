@@ -135,7 +135,8 @@ def test_toeplitz_gram_matches_dense_product(h, dt):
             B = rng.normal(size=(n, n))
             E = B @ B.T * np.exp(rng.uniform(-18.0, 18.0))
             ref += G_h.T @ E @ G_h
-        got = gram(alpha, E)
+        got = np.empty_like(ref)
+        gram(got, alpha, E)
         assert np.linalg.norm(np.tril(got - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 

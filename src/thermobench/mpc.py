@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_solve
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
@@ -309,11 +309,12 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             gram(S[:nu, :nu], alpha)
         S[:nu, :nu] += np.matmul(GtQ @ K, GtQ.T, out=work)
         S[diag_u, diag_u] += s12
-        factor = factor_newton(S)[0]
+        factor = factor_newton(S)
 
         def solve(r):
             y = block_inv(r[nu:-1])
-            x_a = dpotrs(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]), lower=1)[0]
+            x_a = cho_solve(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]),
+                            check_finite=False)
             y = r[nu:-1].copy()
             y[:nw] -= delta * (G @ x_a[:nu])
             return np.concatenate((x_a[:nu], block_inv(y), x_a[nu:]))

@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import ValidationError
-from .mpc import MpcConfig, MpcSolution, mpc_step, prediction_matrices
+from .mpc import HorizonRows, MpcConfig, MpcSolution, _weighted_gram, mpc_step, prediction_matrices
 from .network import (
     DiscreteDynamics,
     ParameterVector,
@@ -27,7 +28,7 @@ from .network import (
     discretize,
 )
 from .simulator import OccupancySchedule, PlantModel, WeatherModel
-from .solver import ConicProgram, find_strictly_feasible, solve
+from .solver import ConicProgram, KktHook, factor_newton, find_strictly_feasible, solve
 
 
 @dataclass(frozen=True)
@@ -406,27 +407,30 @@ def select_optimal(
     one counts. The first candidate whose mean separation gain beats the
     threshold becomes an experiment and resets the threshold; if none
     does, the threshold decays. The baseline's own problem supplies the
-    model, start temperatures, forecast and comfort band.
+    model, start temperatures, forecast and comfort band. The LPs of all
+    candidates and directions differ only in their costs, so their rows,
+    Newton hook and phase-one point are built once per call.
     """
     problem = baseline.problem
-    model, T0, forecast = problem.model, problem.T0, problem.forecast
-    r_min, r_max = problem.r_min, problem.r_max
+    forecast = problem.forecast
     h = baseline.u.shape[0]
     if h < 4 * h_s:
         raise ValidationError("short horizon must be well inside the control horizon")
     diagnostics: dict = {"gains": []}
-    zones = list(model.internal_ids)
-    u_budget = budget_mult * float(np.sum(baseline.u))
-    for candidate in candidates:
-        case = _choose_targets(candidate, topology)
-        if case is None or _heat_target(case, topology) is None:
-            continue
+    zones = list(problem.model.internal_ids)
+    cases = [case for case in (_choose_targets(cand, topology) for cand in candidates)
+             if case is not None and _heat_target(case, topology) is not None]
+    program = _separation_program(
+        problem.model, problem.T0, forecast, problem.r_min, problem.r_max,
+        budget_mult * float(np.sum(baseline.u)), h_s, bound_margin,
+    ) if cases else None
+    if program is None or program.x0 is None:
+        # without a strictly feasible point no LP of any case is solved
+        return None, selector.decayed(), diagnostics
+    for case in cases:
         best = None
         for direction in (1.0, -1.0):
-            res = _separation_lp(
-                case, direction, model, T0, forecast, r_min, r_max,
-                u_budget, h, h_s, bound_margin, zones,
-            )
+            res = _separation_lp(case, direction, program, forecast, zones)
             if res is not None and (best is None or res[0] > best[0]):
                 best = res
         if best is None:
@@ -448,66 +452,126 @@ def _trajectory_separation(case, T_traj, forecast, zones):
     return total / len(zones)
 
 
-def _separation_lp(case, direction, model, T0, forecast, r_min, r_max,
-                   u_budget, h, h_s, bound_margin, zones):
-    """One sign-fixed linear program over (controls, modified bounds)."""
-    n = model.n_internal
-    m = model.Gamma_ctrl.shape[1]
-    G, d, _ = prediction_matrices(model, T0, forecast, h)
-    nu = h * m
+@dataclass(frozen=True)
+class SeparationProgram:
+    """Rows A x <= b over x = (u, e) that every separation LP of one
+    selection shares, with their Newton hook and a strictly feasible point
+    (None when there is none). u are the controls, e the modified lower
+    bounds of the first h_s steps, kept within [e_lo, e_hi]; the predicted
+    temperatures are G u + d."""
+
+    G: np.ndarray
+    d: np.ndarray
+    A: object
+    b: np.ndarray
+    kkt: KktHook
+    x0: Optional[np.ndarray]
+    e_lo: np.ndarray
+    e_hi: np.ndarray
+
+
+def _separation_program(model, T0, forecast, r_min, r_max, u_budget, h_s, bound_margin):
+    """The rows of the separation LPs, their hook and their phase-one point."""
+    h, n = r_min.shape
+    nu = h * model.Gamma_ctrl.shape[1]
     ne = h_s * n
-    nvar = nu + ne
+    G, d, powers = prediction_matrices(model, T0, forecast, h)
+    e_lo, e_hi = r_min[:h_s], r_max[:h_s] - bound_margin
+    # rows: 0 <= u <= 1, r_min <= G u + d <= r_max, sum(u) <= budget,
+    # e_lo <= e <= e_hi, and e <= T over the first h_s steps
+    iu, ie = np.arange(nu), nu + np.arange(ne)
+    rows = HorizonRows(G, n)
+    rows.unit(iu, -1.0, np.zeros(nu))
+    rows.unit(iu, 1.0, np.ones(nu))
+    rows.through_g(-1.0, d - r_min.reshape(-1))
+    rows.through_g(1.0, r_max.reshape(-1) - d)
+    rows.add(np.ones(nu), iu, [nu], [u_budget])
+    rows.unit(ie, -1.0, -e_lo.reshape(-1))
+    rows.unit(ie, 1.0, e_hi.reshape(-1))
+    rows.through_g(-1.0, d[:ne], ie, 1.0)
+    A, b = rows.csr(nu + ne)
+    kkt = _separation_kkt(G, powers, ne)
+    x0 = find_strictly_feasible(A, b, kkt=kkt)
+    return SeparationProgram(G, d, A, b, kkt, x0, e_lo, e_hi)
 
-    n_rows = 2 * nu + 2 * h * n + 1 + 2 * ne + ne
-    A = np.zeros((n_rows, nvar))
-    b = np.empty(n_rows)
-    r = 0
-    A[r:r + nu, :nu] = -np.eye(nu)
-    b[r:r + nu] = 0.0
-    r += nu
-    A[r:r + nu, :nu] = np.eye(nu)
-    b[r:r + nu] = 1.0
-    r += nu
-    A[r:r + h * n, :nu] = -G
-    b[r:r + h * n] = d - r_min.reshape(-1)
-    r += h * n
-    A[r:r + h * n, :nu] = G
-    b[r:r + h * n] = r_max.reshape(-1) - d
-    r += h * n
-    A[r, :nu] = 1.0
-    b[r] = u_budget
-    r += 1
-    A[r:r + ne, nu:] = -np.eye(ne)
-    b[r:r + ne] = -r_min[:h_s].reshape(-1)
-    r += ne
-    A[r:r + ne, nu:] = np.eye(ne)
-    b[r:r + ne] = r_max[:h_s].reshape(-1) - bound_margin
-    r += ne
-    A[r:r + ne, :nu] = -G[:ne, :]
-    A[r:r + ne, nu:] = np.eye(ne)
-    b[r:r + ne] = d[:ne]
 
+def _separation_kkt(G, powers, ne):
+    """Newton hook of the separation LP: eliminate the bounds e, factor u.
+
+    With the row weights split by the row groups of ``_separation_program``
+    into w1..w8, e enters only its box rows (w6, w7) and the rows
+    e - G_s u <= d_s (w8), G_s being the first ne rows of G. Its block of the
+    Newton matrix is diag(w6 + w7 + w8), coupled to u through
+    -G_s' diag(w8), so the Schur complement onto u is
+    diag(w1 + w2) + G' diag(alpha) G + w5 11', with alpha = w3 + w4 plus
+    w8 (w6 + w7) / (w6 + w7 + w8) on the first ne rows; ``_weighted_gram``
+    assembles its lower triangle, and one Cholesky of order h*m is left.
+    """
+    nw, nu = G.shape
+    G_s = G[:ne]
+    gram = _weighted_gram(G, powers)
+    diag_u = np.arange(nu)
+    S = np.empty((nu, nu))
+
+    def kkt(wts, scalings):
+        w12 = wts[:nu] + wts[nu:2 * nu]
+        w34 = wts[2 * nu:2 * nu + nw] + wts[2 * nu + nw:2 * nu + 2 * nw]
+        w5 = float(wts[2 * nu + 2 * nw])
+        w6, w7, w8 = wts[2 * nu + 2 * nw + 1:].reshape(3, ne)
+        w67 = w6 + w7
+        inv_e = 1.0 / (w67 + w8)
+        alpha = w34.copy()
+        alpha[:ne] += w8 * w67 * inv_e
+        gram(S, alpha)
+        S[:] += w5
+        S[diag_u, diag_u] += w12
+        factor = factor_newton(S)
+
+        def solve_kkt(r):
+            r_e = r[nu:]
+            u = cho_solve(factor, r[:nu] + G_s.T @ (w8 * inv_e * r_e), check_finite=False)
+            return np.concatenate([u, (r_e + w8 * (G_s @ u)) * inv_e])
+
+        def apply(x):
+            u, e = x[:nu], x[nu:]
+            Gu = G @ u
+            y = w34 * Gu
+            coupling = w8 * (Gu[:ne] - e)
+            y[:ne] += coupling
+            return np.concatenate([w12 * u + G.T @ y + w5 * u.sum(), w67 * e - coupling])
+
+        return solve_kkt, apply
+
+    return kkt
+
+
+def _separation_objective(case, direction, G, zones, n_ext):
+    """The controls' costs in one sign-fixed LP, c_u = -direction G' y: y
+    weights each predicted temperature by its share in the horizon-summed
+    separation. The modified bounds cost nothing."""
+    n = len(zones)
     kind, nodes = case
-    n_ext = len(model.external_ids)
-    c = np.zeros(nvar)
+    zi = zones.index(nodes[0])
+    y = np.zeros(n)
     if kind == "pair":
-        zi, zj = zones.index(nodes[0]), zones.index(nodes[1])
-        for k in range(h):
-            c[:nu] -= direction * (G[k * n + zi] - G[k * n + zj])
+        y[zi], y[zones.index(nodes[1])] = 1.0, -1.0
     else:
         # the ambient terms |T_i - T_ext| contribute their T_i gradient with
         # one count per external node; the ambient itself is not a decision
-        zi = zones.index(nodes[0])
-        for k in range(h):
-            c[:nu] -= direction * (n - 1 + n_ext) * G[k * n + zi]
-            for z in range(n):
-                if z != zi:
-                    c[:nu] += direction * G[k * n + z]
+        y[:] = -1.0
+        y[zi] = n - 1 + n_ext
+    return -direction * (G.T @ np.tile(y, G.shape[0] // n))
 
-    x0 = find_strictly_feasible(A, b)
-    if x0 is None:
-        return None
-    sol = solve(ConicProgram(c=c, A=A, b=b), x0)
+
+def _separation_lp(case, direction, program, forecast, zones):
+    """One sign-fixed linear program over (controls, modified bounds)."""
+    G, d = program.G, program.d
+    nw, nu = G.shape
+    n = len(zones)
+    h = nw // n
+    c = np.zeros(program.A.shape[1])
+    c[:nu] = _separation_objective(case, direction, G, zones, forecast.shape[1])
+    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), program.x0)
     if not sol.optimal:
         return None
     u_opt = np.clip(sol.x[:nu], 0.0, 1.0)
@@ -515,7 +579,5 @@ def _separation_lp(case, direction, model, T0, forecast, r_min, r_max,
     J = sum(
         _step_separation(case, T[k], forecast[k], zones) for k in range(h)
     ) / n
-    e_opt = np.clip(
-        sol.x[nu:].reshape(h_s, n), r_min[:h_s], r_max[:h_s] - bound_margin
-    )
-    return J, e_opt, u_opt.reshape(h, m)
+    e_opt = np.clip(sol.x[nu:].reshape(program.e_lo.shape), program.e_lo, program.e_hi)
+    return J, e_opt, u_opt.reshape(h, nu // h)

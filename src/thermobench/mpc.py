@@ -155,19 +155,14 @@ def _condense(problem: MpcProblem):
     r_max = problem.r_max.reshape(-1)
 
     # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
-    # T = G u + d; a band row holds G's block lower-triangular part of its
-    # row, then its slack, and is written straight into CSR arrays
+    # T = G u + d
     iu, iw = np.arange(nu), np.arange(nw)
-    lower = iu[None, :] // m <= iw[:, None] // n
-    width = lower.sum(axis=1)
-    ends = np.cumsum(width)
-    g_val = G[lower]
-    band_cols = np.insert(np.broadcast_to(iu, lower.shape)[lower], ends, nu + iw)
-    data = [-np.ones(nu), np.ones(nu), -np.ones(nw),
-            np.insert(-g_val, ends, -1.0), np.insert(g_val, ends, -1.0)]
-    indices = [iu, iu, nu + iw, band_cols, band_cols]
-    counts = [np.ones(2 * nu + nw, dtype=int), width + 1, width + 1]
-    b_parts = [np.zeros(nu), np.ones(nu), np.zeros(nw), d - r_min, r_max - d]
+    rows = HorizonRows(G, n)
+    rows.unit(iu, -1.0, np.zeros(nu))
+    rows.unit(iu, 1.0, np.ones(nu))
+    rows.unit(nu + iw, -1.0, np.zeros(nw))
+    rows.through_g(-1.0, d - r_min, nu + iw, -1.0)
+    rows.through_g(1.0, r_max - d, nu + iw, -1.0)
 
     c = np.zeros(nvar)
     c[:nu] = cfg.R
@@ -190,17 +185,58 @@ def _condense(problem: MpcProblem):
         cones.append(ConeConstraint(F=F2, g=d[(h - 1) * n:] - problem.r[-1], d=d2))
     else:
         # pin the unused epigraph variable: 0 <= t2 <= 1
-        data.append(np.array([1.0, -1.0]))
-        indices.append(np.full(2, nvar - 1))
-        counts.append(np.ones(2, dtype=int))
-        b_parts.append(np.array([1.0, 0.0]))
-    b = np.concatenate(b_parts)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    A = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                         shape=(len(b), nvar))
+        rows.unit([nvar - 1], 1.0, [1.0])
+        rows.unit([nvar - 1], -1.0, [0.0])
+    A, b = rows.csr(nvar)
 
     prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), kkt=_condensed_kkt(G, powers))
     return prog, G, d
+
+
+class HorizonRows:
+    """Rows A x <= b over x = (u, ...), collected group by group into one CSR array.
+
+    The controls u enter rows through the predicted temperatures G u + d. A
+    row through G holds only the block lower-triangular part of its row of
+    G, the part that is not zero, and at most one more entry, for a variable
+    after u.
+    """
+
+    def __init__(self, G: np.ndarray, n: int):
+        nw, nu = G.shape
+        iu, iw = np.arange(nu), np.arange(nw)
+        lower = iu[None, :] // (nu * n // nw) <= iw[:, None] // n
+        self.g_val = G[lower]
+        self.g_col = np.broadcast_to(iu, lower.shape)[lower]
+        self.ends = np.cumsum(lower.sum(axis=1))
+        self.parts: list = []          # (data, indices, entries per row, b)
+
+    def add(self, data, indices, counts, b) -> None:
+        self.parts.append((data, indices, counts, b))
+
+    def unit(self, cols, sign: float, b) -> None:
+        """sign * x[col] <= b, one row per column."""
+        self.add(np.full(len(cols), sign), cols, np.ones(len(cols), dtype=int), b)
+
+    def through_g(self, sign: float, b, cols=None, coef: float = 0.0) -> None:
+        """sign * (G u)_i + coef * x[cols[i]] <= b_i over the first len(b)
+        rows of G; without ``cols`` the second term is left out."""
+        ends = self.ends[:len(b)]
+        data, indices = sign * self.g_val[:ends[-1]], self.g_col[:ends[-1]]
+        counts = np.diff(ends, prepend=0)
+        if cols is not None:
+            data, indices = np.insert(data, ends, coef), np.insert(indices, ends, cols)
+            counts = counts + 1
+        self.add(data, indices, counts, b)
+
+    def csr(self, nvar: int):
+        """(A, b) of the rows added so far, in the order they were added."""
+        # imported here, so that runs that never control by MPC do not load it
+        from scipy import sparse
+
+        data, indices, counts, b = (np.concatenate(part) for part in zip(*self.parts))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return sparse.csr_array((data, indices, indptr), shape=(len(b), nvar)), b
 
 
 def _weighted_gram(G: np.ndarray, powers: np.ndarray):

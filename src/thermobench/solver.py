@@ -464,29 +464,70 @@ def _equilibrate(G, m: int) -> np.ndarray:
 
 
 def find_strictly_feasible(
-    A: np.ndarray,
+    A,
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     margin: float = 1e-7,
     tol: float = 1e-8,
+    kkt: Optional[KktHook] = None,
 ) -> Optional[np.ndarray]:
     """Phase-one search for a point with A x < b strictly.
 
     Minimizes the worst violation s subject to A x - s <= b and s >= -1.
     Returns the found point when the optimum is clearly negative, else None.
+    ``A`` may be dense or ``scipy.sparse``; ``kkt`` is the Newton hook of a
+    program with the rows A x <= b, which the phase-one program borders
+    (``phase_one``).
     """
-    m, n = A.shape
+    n = A.shape[1]
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     s0 = float(np.max(A @ x0 - b)) + 1.0
-    A1 = np.hstack([A, -np.ones((m, 1))])
-    A1 = np.vstack([A1, np.zeros((1, n + 1))])
-    A1[-1, -1] = -1.0
-    b1 = np.concatenate([b, [1.0]])
-    c1 = np.zeros(n + 1)
-    c1[-1] = 1.0
-    prob = ConicProgram(c=c1, A=A1, b=b1)
-    sol = solve(prob, np.concatenate([x0, [s0]]), tol=tol)
+    sol = solve(phase_one(A, b, kkt), np.append(x0, s0), tol=tol)
     x, s = sol.x[:n], sol.x[-1]
     if s < -margin and np.max(A @ x - b) < -margin / 2:
         return x
     return None
+
+
+def phase_one(A, b: np.ndarray, kkt: Optional[KktHook] = None) -> ConicProgram:
+    """The phase-one program over (x, s): minimize s subject to the rows
+    [A, -1] (x, s) <= b and -s <= 1.
+
+    Its Newton matrix borders the base one, M = A' D A, with D the weights
+    of the rows of A, by the column -a = -A' D 1 and the corner
+    sigma = 1' D 1 + w_s. ``kkt`` (``dense_kkt`` of the rows when None)
+    factors M; each phase-one solve is two solves with that factor, one of
+    them shared by the whole iteration, and the scalar Schur complement
+    sigma - a' M^-1 a.
+    """
+    m, n = A.shape
+    blocks = [[A, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]]
+    if _is_sparse(A):
+        # loaded already by whoever built the sparse rows
+        from scipy import sparse
+
+        A1 = sparse.bmat(blocks, format="csr")
+    else:
+        A1 = np.block(blocks)
+    base = kkt if kkt is not None else dense_kkt(ConicProgram(c=np.zeros(n), A=A, b=b))
+
+    def bordered(wts, scalings):
+        solve_base, apply_base = base(wts[:m], scalings)
+        a = A.T @ wts[:m]
+        sigma = float(wts.sum())
+        m_a = solve_base(a)
+        schur = sigma - float(a @ m_a)
+
+        def solve_one(r):
+            x = solve_base(r[:-1])
+            s = (r[-1] + float(a @ x)) / schur
+            return np.append(x + s * m_a, s)
+
+        def apply(x):
+            return np.append(apply_base(x[:-1]) - a * x[-1], sigma * x[-1] - float(a @ x[:-1]))
+
+        return solve_one, apply
+
+    c1 = np.zeros(n + 1)
+    c1[-1] = 1.0
+    return ConicProgram(c=c1, A=A1, b=np.append(b, 1.0), kkt=bordered)

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from thermobench import excitation
 from thermobench.errors import ValidationError
 from thermobench.excitation import (
     EnergySensitivity,
@@ -8,6 +12,8 @@ from thermobench.excitation import (
     SelectorState,
     _choose_targets,
     _separation_lp,
+    _separation_objective,
+    _separation_program,
     generate_eigen,
     generate_montecarlo,
     generate_variational,
@@ -27,6 +33,7 @@ from thermobench.network import (
     two_zone_example,
 )
 from thermobench.simulator import OccupancySchedule, WeatherModel, weather_forecast
+from thermobench.solver import ConicProgram, dense_kkt, phase_one, solve
 
 
 def table1():
@@ -263,11 +270,9 @@ class TestSelectOptimal:
         u_budget = 2.5
         case = ("pair", (1, 2))
         best = None
+        program = _separation_program(model, T0, forecast, r_min, r_max, u_budget, h_s, 2.0)
         for direction in (1.0, -1.0):
-            res = _separation_lp(
-                case, direction, model, T0, forecast, r_min, r_max,
-                u_budget, h, h_s, 2.0, [1, 2],
-            )
+            res = _separation_lp(case, direction, program, forecast, [1, 2])
             if res is not None and (best is None or res[0] > best[0]):
                 best = res
         assert best is not None
@@ -346,6 +351,106 @@ class TestSelectOptimal:
         # the emitted bounds respect the margin below the upper bound
         assert np.all(exp.e <= r_max[:h_s] - 2.0 + 1e-9)
         assert np.all(exp.e >= r_min[:h_s] - 1e-9)
+
+    def test_one_phase_one_per_selection(self, monkeypatch):
+        """The separation LPs share their rows, so a selection builds them and
+        solves their phase one once, however many candidates and directions
+        it tries: here every candidate is tried (threshold out of reach), and
+        then the first one wins."""
+        net, _ = table1()
+        model = table1_model()
+        h, h_s = 48, 8
+        sched = OccupancySchedule()
+        weather = WeatherModel(mean_temp=25.0, daily_amp=10.0, fast_amp=0.0)
+        t = 9 * 60.0
+        r_min, r_max = horizon_bounds(sched, t, h, 15.0, 2)
+        forecast = weather_forecast(weather, t, h, 15.0)
+        base = self.baseline(model, np.array([68.5, 68.5]), forecast, r_min, r_max, h)
+        cands = generate_eigen(np.diag([9.0, 0.1, 4.0, 0.1]), minimal_parameterization(net), net)
+        counts = Counter()
+        for name in ("find_strictly_feasible", "solve", "prediction_matrices"):
+            fn = getattr(excitation, name)
+            monkeypatch.setattr(excitation, name, lambda *a, _fn=fn, _name=name, **k:
+                                counts.update([_name]) or _fn(*a, **k))
+        for threshold, tried in ((1e9, len(cands)), (0.3, 1)):
+            counts.clear()
+            exp, _, diag = select_optimal(
+                cands, base, SelectorState(threshold=threshold), net, t, h_s=h_s, budget_mult=1.5,
+            )
+            assert (exp is None) == (threshold > 1.0)
+            assert len(diag["gains"]) == tried
+            assert counts == {"find_strictly_feasible": 1, "prediction_matrices": 1, "solve": 2 * tried}
+
+
+def separation_setup(model, h, h_s):
+    """The separation program ``select_optimal`` builds at 09:00 on a warm
+    day, with the budget of its MPC baseline, and the baseline's problem."""
+    sched = OccupancySchedule()
+    weather = WeatherModel(mean_temp=25.0, daily_amp=10.0, fast_amp=0.0)
+    t = 9 * 60.0
+    r_min, r_max = horizon_bounds(sched, t, h, 15.0, 2)
+    problem = build_mpc_problem(model, np.array([68.5, 68.5]), weather_forecast(weather, t, h, 15.0),
+                                r_min, r_max, MpcConfig(horizon=h))
+    budget = 1.1 * float(np.sum(solve_mpc(problem).u))
+    program = _separation_program(model, problem.T0, problem.forecast, r_min, r_max,
+                                  budget, h_s, 2.0)
+    return program, problem
+
+
+def backward_error(M, x, r):
+    """||M x - r|| / (||M|| ||x|| + ||r||) in the Jacobi scaling of M, the
+    scaling Cholesky's error does not depend on."""
+    d = np.sqrt(M.diagonal())
+    M_s = M / np.outer(d, d)
+    return np.linalg.norm((M @ x - r) / d) / (
+        np.linalg.norm(M_s, 2) * np.linalg.norm(d * x) + np.linalg.norm(r / d))
+
+
+@pytest.mark.parametrize("heaters", [2, 1])
+@pytest.mark.parametrize("h", [4, 32, 96])
+def test_separation_hooks_match_dense(h, heaters):
+    """The separation LP's hook and the bordered phase-one hook against
+    ``dense_kkt`` on their own rows, with row weights spread over exp(+-18)
+    as near convergence. The rows do not depend on the case (pair or single)
+    or the direction, only the costs do, so the buildings vary instead: two
+    heaters (h*m = h*n) and one (h*m < h*n).
+
+    ``apply`` is compared with the dense hook's. Two solves of one system
+    agree only to its condition number, which reaches 1e13 here even after
+    Jacobi scaling, so ``solve`` is held to a backward error of 1e-10 on the
+    dense matrix A' diag(wts) A; the dense hook itself reaches only 4e-9
+    there at these weights, through the absolute 1e-12 diagonal shift of
+    ``factor_newton`` on diagonals as small as exp(-18)."""
+    rng = np.random.default_rng(h + heaters)
+    model = table1_model() if heaters == 2 else single_heater_model()[1]
+    program, _ = separation_setup(model, h, 1 if h < 32 else 8)
+    lp = ConicProgram(c=np.zeros(program.A.shape[1]), A=program.A, b=program.b, kkt=program.kkt)
+    for prog in (lp, phase_one(program.A, program.b, program.kkt)):
+        A = prog.A.toarray()
+        for _ in range(3):
+            wts = np.exp(rng.uniform(-18.0, 18.0, size=A.shape[0]))
+            r, x = rng.normal(size=(2, A.shape[1]))
+            solve_kkt, apply = prog.kkt(wts, [])
+            _, apply_dense = dense_kkt(prog)(wts, [])
+            assert backward_error(A.T @ (wts[:, None] * A), solve_kkt(r), r) <= 1e-10
+            assert np.linalg.norm(apply(x) - apply_dense(x)) <= 1e-10 * np.linalg.norm(apply_dense(x))
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("case", [("pair", (1, 2)), ("single", (1,))])
+def test_separation_lp_matches_highs(case, direction):
+    """Each sign-fixed separation LP at h = 96, solved through its hook from
+    the phase-one point, reaches the optimum HiGHS finds on the same
+    (c, A, b)."""
+    program, problem = separation_setup(table1_model(), 96, 8)
+    assert program.x0 is not None
+    c = np.zeros(program.A.shape[1])
+    c[:program.G.shape[1]] = _separation_objective(case, direction, program.G, [1, 2], 1)
+    ref = linprog(c, A_ub=program.A, b_ub=program.b, bounds=(None, None), method="highs")
+    assert ref.success
+    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), program.x0)
+    assert sol.optimal
+    assert abs(c @ sol.x - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
 
 
 class TestMonteCarlo:

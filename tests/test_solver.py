@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from thermobench.errors import SolverFailure
@@ -103,6 +104,24 @@ def test_find_strictly_feasible_negative_case():
     A = np.array([[-1.0], [1.0]])
     b = np.array([-1.0, 0.0])
     assert find_strictly_feasible(A, b) is None
+
+
+def test_find_strictly_feasible_sparse_rows():
+    # the random rows of test_random_lps_match_linprog, dense and CSR: the
+    # same phase-one point
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n + 1, 3 * n + 2))
+        A_extra = rng.normal(size=(m, n))
+        b_extra = A_extra @ rng.normal(size=n) + rng.uniform(0.5, 2.0, size=m)
+        A_box, b_box = box_rows(n, -5.0, 5.0)
+        A = np.vstack([A_extra, A_box])
+        b = np.concatenate([b_extra, b_box])
+        x_dense = find_strictly_feasible(A, b)
+        x_csr = find_strictly_feasible(sparse.csr_array(A), b)
+        assert x_dense is not None and x_csr is not None
+        assert np.max(np.abs(x_csr - x_dense)) <= 1e-12 * (1.0 + np.max(np.abs(x_dense)))
 
 
 @pytest.mark.parametrize("seed", range(10))

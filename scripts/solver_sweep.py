@@ -12,8 +12,8 @@ binding each is called through), ``energy``, the experiment start times and
 the trace's temperatures and heater commands. ``--out`` writes the records
 as JSON, which ``--compare`` reads two of: it prints fallbacks, stalled and
 non-optimal solves, total and worst iterations per solve kind on each side,
-the largest relative ``energy`` difference, the seeds whose experiment
-start times differ, and max |dT| and |du| over the traces. Solver changes
+the largest relative ``energy`` difference and the seeds where it exceeds
+1e-6, the seeds whose experiment start times differ, and max |dT| and |du| over the traces. Solver changes
 report these figures; the script is not part of the test suite.
 """
 
@@ -35,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
+
+import numpy as np  # noqa: E402
 
 from perfbench.workloads import WORKLOADS, fallbacks  # noqa: E402
 from thermobench import excitation, harness, mpc, solver  # noqa: E402
@@ -106,8 +108,6 @@ def totals(record: dict) -> dict:
 
 
 def _max_abs_diff(a, b) -> float:
-    import numpy as np
-
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
 
 
@@ -124,16 +124,19 @@ def compare(path_a: Path, path_b: Path) -> None:
         print(f"  {kind:<6} solves {x['solves']:>5} -> {y['solves']:<5}"
               f" iterations {x['iterations']:>6} -> {y['iterations']:<6}"
               f" worst {x['worst']:>3} -> {y['worst']}")
-    energy_rel, dT, du, moved = 0.0, 0.0, 0.0, []
+    energy_rel, dT, du, moved, apart = 0.0, 0.0, 0.0, [], []
     for seed, ra in a["seeds"].items():
         rb = b["seeds"][seed]
-        for ea, eb in zip(ra["energy"], rb["energy"]):
-            energy_rel = max(energy_rel, abs(eb - ea) / max(abs(ea), 1e-300))
+        rel = max(abs(eb - ea) / max(abs(ea), 1e-300) for ea, eb in zip(ra["energy"], rb["energy"]))
+        energy_rel = max(energy_rel, rel)
+        if rel > 1e-6:
+            apart.append(f"{seed} ({rel:.2g})")
         if ra["experiments"] != rb["experiments"]:
             moved.append(seed)
         dT = max(dT, _max_abs_diff(ra["T"], rb["T"]))
         du = max(du, _max_abs_diff(ra["u"], rb["u"]))
-    print(f"  energy: largest relative difference {energy_rel:.3g}")
+    print(f"  energy: largest relative difference {energy_rel:.3g};"
+          f" above 1e-6 on seeds: {', '.join(apart) or 'none'}")
     print(f"  max |dT| {dT:.3g}, max |du| {du:.3g}")
     print(f"  experiment start times differ on seeds: {moved or 'none'}")
 

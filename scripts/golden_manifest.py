@@ -2,6 +2,8 @@
 
     python3 scripts/golden_manifest.py --out golden_seed0.json
     python3 scripts/golden_manifest.py --check scripts/golden_seed0.json [--jobs 2]
+    python3 scripts/golden_manifest.py --arrays before.npz [--jobs 2]
+    python3 scripts/golden_manifest.py --delta before.npz after.npz
 
 Runs all five presets at seed 0, and two runs that reach the optimal selector
 under MPC (no preset does), each into a temporary directory, and records the
@@ -9,9 +11,12 @@ sha256 of every file they write. The CSVs carry nine significant digits, which
 hides last-bit drift, so it also records a sha256 over the raw bytes
 (``tobytes()``) of the in-memory trace, estimate, final-parameter and
 observability arrays of every run. ``--check FILE`` reruns and exits 1 on any
-difference. BLAS builds may differ in the last bits, so the reference is only
-meaningful on the numeric stack it was written with (recorded under
-``environment``); the check is kept out of the tier-1 test suite.
+difference. ``--arrays OUT.npz`` also saves those arrays, keyed
+``case/run/group/name``, and ``--delta A.npz B.npz`` prints the largest
+absolute difference of each array between two such files. BLAS builds may
+differ in the last bits, so the reference is only meaningful on the numeric
+stack it was written with (recorded under ``environment``); the check is kept
+out of the tier-1 test suite.
 """
 
 from __future__ import annotations
@@ -77,43 +82,51 @@ def _array_digest(arrays) -> str:
     return h.hexdigest()
 
 
-def report_digests(report) -> dict:
-    """Digests of one RunReport's in-memory arrays, one per group."""
+def report_arrays(report) -> dict:
+    """Named in-memory arrays of one RunReport by digest group, in hashing order."""
     rows = report.trace.rows
-    out = {
-        "trace": _array_digest(
-            [np.array([r.time for r in rows])]
-            + [np.array([getattr(r, f) for r in rows], dtype=float).reshape(len(rows), -1)
-               for f in ("true_temps", "measured_temps", "t_ext", "u", "r_min", "r_max")]
-            + [np.array([r.mode for r in rows], dtype=str)]
-        ),
-        "events": hashlib.sha256(
-            "\n".join(f"{e.time!r} {e.kind} {e.detail}" for e in report.events).encode()
-        ).hexdigest(),
+    groups = {
+        "trace": [("time", np.array([r.time for r in rows]))]
+        + [(f, np.array([getattr(r, f) for r in rows], dtype=float).reshape(len(rows), -1))
+           for f in ("true_temps", "measured_temps", "t_ext", "u", "r_min", "r_max")]
+        + [("mode", np.array([r.mode for r in rows], dtype=str))],
     }
     if report.estimates:
         est = report.estimates
-        out["estimates"] = _array_digest([
-            np.array([e.time for e in est]),
-            np.array([e.means for e in est]),
-            np.array([e.variances for e in est]),
-            np.array([e.nees for e in est]),
-            np.array([e.converged for e in est]),
-            report.final_params,
-            report.final_variances,
-        ])
+        groups["estimates"] = [
+            ("time", np.array([e.time for e in est])),
+            ("means", np.array([e.means for e in est])),
+            ("variances", np.array([e.variances for e in est])),
+            ("nees", np.array([e.nees for e in est])),
+            ("converged", np.array([e.converged for e in est])),
+            ("final_params", report.final_params),
+            ("final_variances", report.final_variances),
+        ]
     if report.observability:
         obs = report.observability
-        out["observability"] = _array_digest(
-            [np.array([(s.time, s.rank) for s in obs])]
-            + [s.coordinate_magnitudes for s in obs]
-            + [s.nullspace_basis for s in obs]
+        groups["observability"] = (
+            [("time_rank", np.array([(s.time, s.rank) for s in obs]))]
+            + [("magnitudes", s.coordinate_magnitudes) for s in obs]
+            + [("nullspace", s.nullspace_basis) for s in obs]
         )
+    return groups
+
+
+def report_digests(groups: dict, events) -> dict:
+    """One digest per array group of a RunReport, plus one of its events."""
+    out = {g: _array_digest([a for _, a in items]) for g, items in groups.items()}
+    out["events"] = hashlib.sha256(
+        "\n".join(f"{e.time!r} {e.kind} {e.detail}" for e in events).encode()
+    ).hexdigest()
     return out
 
 
-def case_manifest(name: str, seed: int) -> dict:
-    """Run one case into a fresh temporary directory and digest what it made."""
+def case_manifest(name: str, seed: int) -> tuple[dict, dict]:
+    """Run one case into a fresh temporary directory and digest what it made.
+
+    Also returns the digested arrays, flattened: one per array name, with
+    the per-snapshot observability arrays raveled and joined.
+    """
     with tempfile.TemporaryDirectory(prefix=f"golden-{name}-") as tmp:
         root = Path(tmp)
         if name in SELECTOR_CASES:
@@ -124,21 +137,31 @@ def case_manifest(name: str, seed: int) -> dict:
             p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()
         }
-    arrays = {}
+    digests, values = {}, {}
     for label, item in results.items():
         if hasattr(item, "trace"):
-            for group, digest in report_digests(item).items():
-                arrays[f"{label}/{group}"] = digest
+            groups = report_arrays(item)
+            for group, digest in report_digests(groups, item.events).items():
+                digests[f"{label}/{group}"] = digest
+            for group, items in groups.items():
+                for key in dict(items):
+                    parts = [np.ravel(a) for n, a in items if n == key]
+                    values[f"{label}/{group}/{key}"] = np.concatenate(parts)
         elif hasattr(item, "rows"):
-            arrays[f"{label}/rows"] = _array_digest([np.array([r[1:] for r in item.rows])])
-    return {"files": files, "arrays": arrays}
+            rows = np.array([r[1:] for r in item.rows])
+            digests[f"{label}/rows"] = _array_digest([rows])
+            values[f"{label}/rows"] = rows
+    return {"files": files, "arrays": digests}, values
 
 
-def build(seed: int, jobs: int) -> dict:
+def build(seed: int, jobs: int) -> tuple[dict, dict]:
+    """The manifest of every case, and every case's arrays keyed ``case/label/...``."""
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = {n: pool.submit(case_manifest, n, seed) for n in CASE_NAMES}
-        cases = {n: f.result() for n, f in futures.items()}
+        results = {n: f.result() for n, f in futures.items()}
+    cases = {n: manifest for n, (manifest, _) in results.items()}
+    arrays = {f"{n}/{key}": a for n, (_, values) in results.items() for key, a in values.items()}
     return {
         "seed": seed,
         "environment": {
@@ -148,7 +171,7 @@ def build(seed: int, jobs: int) -> dict:
             "machine": platform.machine(),
         },
         "cases": cases,
-    }
+    }, arrays
 
 
 def differences(reference: dict, current: dict) -> list[str]:
@@ -167,20 +190,52 @@ def differences(reference: dict, current: dict) -> list[str]:
     return lines
 
 
+def array_deltas(a: dict, b: dict) -> list[str]:
+    """Max |b - a| per array, or how many entries differ where they are not numbers."""
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {'B' if key in b else 'A'}")
+        elif a[key].shape != b[key].shape:
+            lines.append(f"{key}: shape {a[key].shape} vs {b[key].shape}")
+        elif a[key].dtype.kind in "fiub":
+            delta = np.abs(b[key].astype(float) - a[key].astype(float))
+            lines.append(f"{key}: max |delta| {delta.max(initial=0.0):.3e}")
+        else:
+            lines.append(f"{key}: {int(np.sum(a[key] != b[key]))} of {a[key].size} differ")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    group = parser.add_mutually_exclusive_group(required=True)
+    group = parser.add_mutually_exclusive_group()
     group.add_argument("--out", help="write the manifest to this JSON file")
     group.add_argument("--check", help="compare against this manifest; exit 1 on any difference")
+    group.add_argument("--delta", nargs=2, metavar=("A.npz", "B.npz"),
+                       help="print max |B - A| per array of two --arrays files; runs nothing")
+    parser.add_argument("--arrays", metavar="OUT.npz",
+                        help="also save every digested array to this .npz file")
     parser.add_argument("--jobs", type=int, default=1, help="cases run in parallel")
     args = parser.parse_args(argv)
+    if not (args.out or args.check or args.delta or args.arrays):
+        parser.error("one of --out, --check, --delta or --arrays is required")
 
-    current = build(SEED, max(1, args.jobs))
+    if args.delta:
+        with np.load(args.delta[0]) as a, np.load(args.delta[1]) as b:
+            for line in array_deltas(dict(a), dict(b)):
+                print(line)
+        return 0
+    current, arrays = build(SEED, max(1, args.jobs))
+    if args.arrays:
+        np.savez_compressed(args.arrays, **arrays)
+        print(f"wrote {len(arrays)} arrays to {args.arrays}")
     if args.out:
         Path(args.out).write_text(json.dumps(current, indent=1, sort_keys=True) + "\n",
                                   encoding="utf-8")
         n = sum(len(p["files"]) + len(p["arrays"]) for p in current["cases"].values())
         print(f"wrote {n} digests for {len(current['cases'])} cases to {args.out}")
+        return 0
+    if not args.check:
         return 0
     reference = json.loads(Path(args.check).read_text(encoding="utf-8"))
     if reference["environment"] != current["environment"]:

@@ -9,6 +9,9 @@ controllers act on a coarser control-step grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -22,6 +25,17 @@ from .network import (
 MINUTES_PER_DAY = 1440.0
 
 
+@functools.lru_cache(maxsize=2)
+def _day_noise(seed: int, day: int) -> np.ndarray:
+    """Standard-normal draws for the minutes of one day, read-only.
+
+    Two entries hold the most days one control step can touch.
+    """
+    draws = np.random.default_rng((seed, 0x5EED, day)).standard_normal(int(MINUTES_PER_DAY))
+    draws.flags.writeable = False
+    return draws
+
+
 @dataclass(frozen=True)
 class WeatherModel:
     """Ambient temperature: two sinusoids plus scripted bias and seeded noise.
@@ -29,8 +43,10 @@ class WeatherModel:
     Amplitudes are peak-to-peak. ``bias_schedule`` is a piecewise-constant
     offset given as (start_minute, offset) breakpoints sorted ascending and
     starting at or before 0. The daily phase default puts the daily minimum
-    at 06:00. Noise is white, drawn per whole minute, and is a pure function
-    of (seed, minute) so lookups are order-independent.
+    at 06:00. Noise is white and constant over each whole minute. Minute m
+    reads entry m mod 1440 of its day's block of draws, which one generator
+    seeded by (seed, day) makes, so the noise is still a pure function of
+    (seed, minute) and lookups are order-independent.
     """
 
     mean_temp: float
@@ -51,14 +67,11 @@ class WeatherModel:
         if not starts or starts[0] > 0 or sorted(starts) != starts:
             raise ValidationError("bias_schedule must be sorted and cover t >= 0")
 
-    def bias(self, t: float) -> float:
-        value = self.bias_schedule[0][1]
-        for start, offset in self.bias_schedule:
-            if t >= start:
-                value = offset
-            else:
-                break
-        return value
+    def bias(self, t):
+        """Offset of the last breakpoint at or before t. Accepts scalar or array time."""
+        starts, offsets = zip(*self.bias_schedule)
+        idx = np.searchsorted(starts, t, side="right") - 1
+        return np.asarray(offsets, dtype=float)[np.maximum(idx, 0)]
 
     def deterministic(self, t) -> np.ndarray:
         """Sinusoids plus bias, no noise. Accepts scalar or array time."""
@@ -69,15 +82,13 @@ class WeatherModel:
         fast = 0.5 * self.fast_amp * np.sin(
             2.0 * np.pi * t / self.fast_period + self.fast_phase
         )
-        bias = np.vectorize(self.bias)(t) if t.ndim else self.bias(float(t))
-        return self.mean_temp + daily + fast + bias
+        return self.mean_temp + daily + fast + self.bias(t)
 
     def noise(self, t: float) -> float:
         if self.noise_std == 0.0:
             return 0.0
-        minute = int(np.floor(t))
-        rng = np.random.default_rng((self.seed, 0x5EED, minute))
-        return float(rng.standard_normal() * self.noise_std)
+        day, minute = divmod(math.floor(t), int(MINUTES_PER_DAY))
+        return float(_day_noise(self.seed, day)[minute] * self.noise_std)
 
 
 def external_temperature(w: WeatherModel, t: float) -> float:
@@ -98,8 +109,7 @@ def weather_forecast(w: WeatherModel, t0: float, horizon: int, dt: float) -> np.
     daily = 0.5 * w.daily_amp * np.sin(
         2.0 * np.pi * times / w.daily_period + w.daily_phase
     )
-    bias = np.array([w.bias(t) for t in times])
-    return w.mean_temp + daily + bias
+    return w.mean_temp + daily + w.bias(times)
 
 
 @dataclass(frozen=True)
@@ -196,20 +206,21 @@ class PlantModel:
         n_sub = int(round(dt / self.substep))
         if abs(n_sub * self.substep - dt) > 1e-9:
             raise ValidationError("dt must be a whole number of sub-steps")
-        temps = state.true_temps.copy()
-        t = state.clock
         d = self._disc
         # each minute's ambient value is drawn once: a sub-step's end value
         # is the next sub-step's input
-        ambient = external_temperature(weather, t)
-        for _ in range(n_sub):
-            t_ext = np.array([ambient] * len(self._ext_pos))
-            t_int = temps[self._int_pos]
-            temps[self._int_pos] = d.Phi @ t_int + d.Gamma_ext @ t_ext + d.Gamma_ctrl @ u
-            t += self.substep
-            ambient = external_temperature(weather, t)
-            temps[self._ext_pos] = ambient
-        return PlantState(temps, t)
+        times = state.clock + self.substep * np.arange(n_sub + 1)
+        noise = np.array([weather.noise(t) for t in times.tolist()])
+        ambient = weather.deterministic(times) + noise
+        t_ext = np.repeat(ambient[:, None], len(self._ext_pos), axis=1)
+        drive = d.Gamma_ctrl @ u
+        t_int = state.true_temps[self._int_pos]
+        for k in range(n_sub):
+            t_int = d.Phi @ t_int + d.Gamma_ext @ t_ext[k] + drive
+        temps = state.true_temps.copy()
+        temps[self._int_pos] = t_int
+        temps[self._ext_pos] = ambient[-1]
+        return PlantState(temps, float(times[-1]))
 
 
 def measure(state: PlantState, noise_std: float, seed) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from thermobench.errors import ValidationError
 from thermobench.network import two_zone_example
+from thermobench.presets import comparison_weather
 from thermobench.simulator import (
     OccupancySchedule,
     PlantModel,
@@ -50,12 +51,52 @@ class TestWeather:
         w3 = acquisition_weather(noise_std=0.5, seed=10)
         assert external_temperature(w1, 77.0) != external_temperature(w3, 77.0)
 
+    def test_noise_is_pure_function_of_seed_and_minute(self):
+        minutes = np.array([0, 1, 777, 1438, 1439, 1440, 1441, 2000, 2878, 2879,
+                            2880, 2881, 4319, 4320, 10079], dtype=float)
+        forward = [acquisition_weather(noise_std=0.5, seed=9).noise(t) for t in minutes]
+        order = np.random.default_rng(0).permutation(len(minutes))
+        other = acquisition_weather(noise_std=0.5, seed=9)
+        shuffled = np.empty(len(minutes))
+        for i in order:
+            shuffled[i] = other.noise(minutes[i])
+        assert np.array_equal(shuffled, forward)
+        # constant over each whole minute
+        assert [other.noise(t + 0.5) for t in minutes] == forward
+        third = [acquisition_weather(noise_std=0.5, seed=10).noise(t) for t in minutes]
+        assert np.all(np.array(third) != np.array(forward))
+
     def test_bias_schedule_applies(self):
         w = WeatherModel(mean_temp=30.0, daily_amp=0.0, fast_amp=0.0,
                          bias_schedule=((0.0, 5.0), (100.0, -5.0)))
         assert external_temperature(w, 50.0) == pytest.approx(35.0)
         assert external_temperature(w, 100.0) == pytest.approx(25.0)
         assert external_temperature(w, 500.0) == pytest.approx(25.0)
+
+
+def reference_bias(w, t):
+    """The scalar breakpoint walk: the offset of the last start at or before t."""
+    value = w.bias_schedule[0][1]
+    for start, offset in w.bias_schedule:
+        if t >= start:
+            value = offset
+        else:
+            break
+    return value
+
+
+def test_deterministic_array_matches_scalar_bitwise():
+    w = comparison_weather()
+    starts = np.array([s for s, _ in w.bias_schedule])
+    week = np.arange(0.0, 7 * 1440.0, 0.5)
+    times = np.sort(np.concatenate([week, starts, np.nextafter(starts, -np.inf)]))
+    assert np.array_equal(w.bias(times), [reference_bias(w, t) for t in times])
+    scalar = np.array([float(w.deterministic(t)) for t in times])
+    assert np.array_equal(w.deterministic(times), scalar)
+    f = weather_forecast(w, 0.0, 7 * 96, 15.0)
+    assert np.array_equal(f, [w.mean_temp + 0.5 * w.daily_amp * np.sin(
+        2.0 * np.pi * t / w.daily_period + w.daily_phase) + reference_bias(w, t)
+        for t in 15.0 * np.arange(7 * 96)])
 
 
 class TestForecast:

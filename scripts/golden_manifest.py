@@ -144,9 +144,11 @@ def case_manifest(name: str, seed: int) -> tuple[dict, dict]:
             for group, digest in report_digests(groups, item.events).items():
                 digests[f"{label}/{group}"] = digest
             for group, items in groups.items():
-                for key in dict(items):
-                    parts = [np.ravel(a) for n, a in items if n == key]
-                    values[f"{label}/{group}/{key}"] = np.concatenate(parts)
+                parts = {}
+                for key, a in items:
+                    parts.setdefault(key, []).append(np.ravel(a))
+                for key, raveled in parts.items():
+                    values[f"{label}/{group}/{key}"] = np.concatenate(raveled)
         elif hasattr(item, "rows"):
             rows = np.array([r[1:] for r in item.rows])
             digests[f"{label}/rows"] = _array_digest([rows])

@@ -54,11 +54,10 @@ class TestWeather:
     def test_noise_is_pure_function_of_seed_and_minute(self):
         minutes = np.array([0, 1, 777, 1438, 1439, 1440, 1441, 2000, 2878, 2879,
                             2880, 2881, 4319, 4320, 10079], dtype=float)
-        forward = [acquisition_weather(noise_std=0.5, seed=9).noise(t) for t in minutes]
-        order = np.random.default_rng(0).permutation(len(minutes))
-        other = acquisition_weather(noise_std=0.5, seed=9)
+        first, other = (acquisition_weather(noise_std=0.5, seed=9) for _ in range(2))
+        forward = [first.noise(t) for t in minutes]
         shuffled = np.empty(len(minutes))
-        for i in order:
+        for i in np.random.default_rng(0).permutation(len(minutes)):
             shuffled[i] = other.noise(minutes[i])
         assert np.array_equal(shuffled, forward)
         # constant over each whole minute

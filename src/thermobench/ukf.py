@@ -12,12 +12,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import numpy as np
-from scipy.linalg import cholesky, expm, LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
+# the two kernels behind scipy.linalg.expm; scipy.linalg loads them already
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NumericalDegeneracyError, ValidationError
 from .network import ParameterVector, ThermalNetwork, minimal_parameterization
 
 PARAM_FLOOR = 1e-8
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in a (k, n, n) stack.
+
+    This is the generic branch of ``scipy.linalg.expm`` (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 2009) without its per-matrix wrapper: one
+    workspace, ``pick_pade_structure`` for the Pade degree and the scaling s,
+    ``pade_UV_calc`` for the Pade solve, then s plain squarings. Where a
+    matrix is neither triangular nor diagonal, scipy takes the same branch
+    and the result equals ``scipy.linalg.expm`` bit for bit; a UKF generator
+    is such a matrix whenever two internal zones share an edge. scipy squares
+    a triangular matrix by its Code Fragment 2.1 instead, for example the
+    generator of a single-zone building, and there the two differ by at most
+    1e-13 relative.
+    """
+    out = np.empty_like(A)
+    work = np.empty((5,) + A.shape[1:])
+    for k, a in enumerate(A):
+        work[0] = a
+        m, s = pick_pade_structure(work)
+        if m < 0 or pade_UV_calc(work, m) != 0:
+            raise NumericalDegeneracyError("Pade approximant of the generator failed")
+        e = work[0]
+        for _ in range(s):
+            e = e @ e
+        out[k] = e
+    return out
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    """The check scipy's ``check_finite=True`` makes, with its ValueError."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
 @dataclass(frozen=True)
@@ -107,16 +144,15 @@ def sigma_points(x_hat: np.ndarray, P: np.ndarray, config: UkfConfig):
     L = len(x_hat)
     lam = config.alpha**2 * (L + config.kappa) - L
     spread = L + lam
+    _check_finite(P)
     sqrtP = None
     jitter = 0.0
     for attempt in range(6):
-        try:
-            sqrtP = cholesky(
-                P + jitter * np.eye(L) if jitter else P, lower=True
-            )
+        factor, info = dpotrf(P + jitter * np.eye(L) if jitter else P, lower=1, clean=1)
+        if info == 0:
+            sqrtP = factor
             break
-        except LinAlgError:
-            jitter = max(jitter * 100.0, 1e-12 * (np.trace(P) / L + 1.0))
+        jitter = max(jitter * 100.0, 1e-12 * (np.trace(P) / L + 1.0))
     if sqrtP is None:
         raise NumericalDegeneracyError("covariance square root failed")
     offsets = np.sqrt(spread) * sqrtP
@@ -241,11 +277,11 @@ def update(state: UkfState, z: np.ndarray, model: UkfModel) -> UpdateResult:
     P = state.P
     S = P[:n, :n] + R
     PHt = P[:, :n]
-    try:
-        chol = cho_factor(S, lower=True)
-    except LinAlgError as exc:
-        raise NumericalDegeneracyError("innovation covariance singular") from exc
-    K = cho_solve(chol, PHt.T).T
+    _check_finite(S, PHt)
+    chol, info = dpotrf(S, lower=1, clean=0)
+    if info > 0:
+        raise NumericalDegeneracyError("innovation covariance singular")
+    K = dpotrs(chol, PHt.T, lower=1)[0].T
     innovation = z - state.x_hat[:n]
     x_new = state.x_hat + K @ innovation
     # Joseph form keeps the covariance symmetric positive semidefinite

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import LinAlgError, cholesky, expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
-from thermobench.errors import ValidationError
-from thermobench.network import minimal_parameterization, two_zone_example
+from thermobench import ukf
+from thermobench.errors import NumericalDegeneracyError, ValidationError
+from thermobench.network import Edge, Node, ThermalNetwork, minimal_parameterization, two_zone_example
 from thermobench.simulator import PlantModel, WeatherModel
 from thermobench.ukf import (
     PARAM_FLOOR,
@@ -69,12 +71,42 @@ class TestSigmaPoints:
             pts, wm, _ = sigma_points(x, P, UkfConfig())
             np.testing.assert_allclose(wm @ pts, x, atol=1e-12)
 
+    def test_jitter_path_matches_scipy_cholesky_bitwise(self):
+        v = np.array([1.0, 2.0, 3.0, 0.5])
+        P = np.outer(v, v)  # rank one: the second pivot vanishes
+        with pytest.raises(LinAlgError):
+            cholesky(P, lower=True)
+        cfg = UkfConfig()
+        L = len(v)
+        jitter = 0.0
+        for _ in range(6):  # the retry rule of sigma_points, on scipy's Cholesky
+            try:
+                root = cholesky(P + jitter * np.eye(L) if jitter else P, lower=True)
+                break
+            except LinAlgError:
+                jitter = max(jitter * 100.0, 1e-12 * (np.trace(P) / L + 1.0))
+        assert jitter > 0
+        spread = L + (cfg.alpha**2 * (L + cfg.kappa) - L)
+        offsets = np.sqrt(spread) * root
+        x = np.array([70.0, 66.0, 1500.0, 0.2])
+        pts, _, _ = sigma_points(x, P, cfg)
+        assert np.array_equal(pts[1:L + 1], x + offsets.T)
+        assert np.array_equal(pts[L + 1:], x - offsets.T)
 
-def reference_propagate(net, point, u, dt):
-    """One point at a time: its own generator and its own matrix exponential."""
+    @pytest.mark.parametrize("cell", [(0, 0), (2, 5), (8, 8)])
+    def test_non_finite_covariance_rejected(self, cell):
+        state = truth_state()
+        P = state.P.copy()
+        P[cell] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sigma_points(state.x_hat, P, UkfConfig())
+
+
+def reference_generator(net, point):
+    """One point's generator over [internal nodes, ambient nodes, heaters]."""
     pv = minimal_parameterization(net)
     order = list(net.internal_ids) + list(net.external_ids)
-    n, n_p, n_i = len(net.nodes), len(pv.p), len(net.internal_ids)
+    n, n_p = len(net.nodes), len(pv.p)
     p = np.maximum(point[n:n + n_p], PARAM_FLOOR)
     q = np.maximum(point[n + n_p:], PARAM_FLOOR)
     M = np.zeros((len(order) + len(q), len(order) + len(q)))
@@ -84,11 +116,60 @@ def reference_propagate(net, point, u, dt):
         M[order.index(i), order.index(i)] -= rate
     for l, zone in enumerate(pv.zone_map):
         M[order.index(zone), len(order) + l] = q[l]
-    E = expm(M * dt)
+    return M
+
+
+def reference_propagate(net, point, u, dt):
+    """One point at a time: its own generator and its own matrix exponential."""
+    order = list(net.internal_ids) + list(net.external_ids)
+    n_i = len(net.internal_ids)
+    E = expm(reference_generator(net, point) * dt)
     pos = [net.index_of(nid) for nid in order]
     out = point.copy()
     out[pos[:n_i]] = E[:n_i] @ np.concatenate([point[pos], u])
     return out
+
+
+def single_zone_example():
+    return ThermalNetwork(
+        nodes=(Node(1, capacitance=17.0), Node(2, is_external=True)),
+        edges=(Edge(1, 2, 60.0),),
+        heat_rates={1: 0.18},
+    )
+
+
+def generator_stack(net, temps):
+    cfg = UkfConfig()
+    state = initial_state(net, np.array(temps), minimal_parameterization(net), cfg)
+    points, _, _ = sigma_points(state.x_hat, state.P, cfg)
+    return np.array([reference_generator(net, pt) for pt in points])
+
+
+class TestExpm:
+    # dt in minutes, from one minute to ten days
+    DTS = (1.0, 15.0, 60.0, 240.0, 1440.0, 14400.0)
+
+    def test_matches_scipy_bitwise_over_every_pade_degree(self):
+        stack = generator_stack(two_zone_example(), [70.5, 66.0, 21.0])
+        structures = set()
+        for dt in self.DTS:
+            A = stack * dt
+            for a in A:
+                work = np.empty((5,) + a.shape)
+                work[0] = a
+                structures.add(pick_pade_structure(work))
+            assert np.array_equal(ukf.expm(A), expm(A)), dt
+        assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+        assert max(s for _, s in structures) > 0
+
+    def test_triangular_generator_within_1e13_of_scipy(self):
+        # one zone: the generator is upper triangular, and scipy squares it
+        # by its triangular rule where ukf.expm squares plainly
+        stack = generator_stack(single_zone_example(), [70.0, 20.0])
+        assert np.all(np.tril(stack, -1) == 0)
+        for dt in self.DTS:
+            ours, ref = ukf.expm(stack * dt), expm(stack * dt)
+            assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max(), dt
 
 
 class TestPropagation:
@@ -197,6 +278,24 @@ class TestUpdate:
         model = make_model()
         with pytest.raises(ValidationError):
             update(truth_state(), np.array([70.0, 70.0]), model)
+
+    def test_indefinite_innovation_covariance_is_degenerate(self):
+        state = truth_state()
+        P = state.P.copy()
+        P[1, 1] = -1.0  # S = P[:3, :3] + R loses its second pivot
+        bad = UkfState(state.x_hat, P, 3, 4, 2)
+        with pytest.raises(NumericalDegeneracyError):
+            update(bad, state.temps.copy(), make_model())
+
+    # (1, 1) lies in S = P[:3, :3] + R, (6, 2) only in the gain's P[:, :3]
+    @pytest.mark.parametrize("cell", [(1, 1), (6, 2)])
+    def test_non_finite_covariance_rejected(self, cell):
+        state = truth_state()
+        P = state.P.copy()
+        P[cell] = np.nan
+        bad = UkfState(state.x_hat, P, 3, 4, 2)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            update(bad, state.temps.copy(), make_model())
 
 
 class TestParameterCovariance:

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-# the two kernels behind scipy.linalg.expm; scipy.linalg loads them already
+# the two kernels behind scipy.linalg.expm; scipy.linalg loads them already.
+# Their signatures and the scaling done inside pick_pade_structure are those
+# of scipy 1.17, the floor pyproject.toml declares.
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NumericalDegeneracyError, ValidationError
@@ -36,15 +38,21 @@ def expm(A: np.ndarray) -> np.ndarray:
     triangle, for example the generator of a single-zone building. There the
     two differ by at most 1e-13 of the largest entry for steps of up to ten
     days, and round-off of order 1e-18 stays in the zero rows, which
-    ``propagate_points`` does not read.
+    ``propagate_points`` does not read. A failed allocation raises
+    MemoryError and an internal LAPACK error RuntimeError, as in scipy.
     """
     out = np.empty_like(A)
     work = np.empty((5,) + A.shape[1:])
     for k, a in enumerate(A):
         work[0] = a
         m, s = pick_pade_structure(work)
-        if m < 0 or pade_UV_calc(work, m) != 0:
-            raise NumericalDegeneracyError("Pade approximant of the generator failed")
+        if m < 0:
+            raise MemoryError(f"expm could not allocate its Pade workspace (error code {m})")
+        info = pade_UV_calc(work, m)
+        if info <= -11:
+            raise MemoryError(f"expm could not allocate its Pade workspace (error code {info})")
+        if info != 0:
+            raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
         e = work[0]
         for _ in range(s):
             e = e @ e

@@ -150,6 +150,9 @@ class TestExpm:
     DTS = (1.0, 15.0, 60.0, 240.0, 1440.0, 14400.0)
 
     def test_matches_scipy_bitwise_over_every_pade_degree(self):
+        # ukf.expm relies on the kernel signatures and on the scaling inside
+        # pick_pade_structure of scipy >= 1.17, the floor in pyproject.toml;
+        # this equality holds on that condition
         stack = generator_stack(two_zone_example(), [70.5, 66.0, 21.0])
         structures = set()
         for dt in self.DTS:
@@ -170,6 +173,19 @@ class TestExpm:
         for dt in self.DTS:
             ours, ref = ukf.expm(stack * dt), expm(stack * dt)
             assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max(), dt
+
+
+    @pytest.mark.parametrize("structure, info, error", [
+        ((-1, 0), 0, MemoryError),   # no memory for the Pade structure
+        ((13, 0), -11, MemoryError),  # no memory in the Pade solve
+        ((13, 0), -3, RuntimeError),  # LAPACK argument error
+        ((13, 0), 2, RuntimeError),   # exactly singular Pade denominator
+    ])
+    def test_kernel_failures_raise_as_scipy(self, monkeypatch, structure, info, error):
+        monkeypatch.setattr(ukf, "pick_pade_structure", lambda work: structure)
+        monkeypatch.setattr(ukf, "pade_UV_calc", lambda work, m: info)
+        with pytest.raises(error):
+            ukf.expm(np.zeros((2, 3, 3)))
 
 
 class TestPropagation:

@@ -1,7 +1,7 @@
 """Alternating before/after pairs of the benchmark between two git revisions.
 
     python3 scripts/perf_pairs.py d00916a HEAD --workloads acquire --seeds 91-100 --out pairs.json
-    python3 scripts/perf_pairs.py d00916a HEAD --workloads mpc-week,online --seeds 91-96 \\
+    python3 scripts/perf_pairs.py d00916a HEAD --workloads acquire,mpc-week,online --seeds 91-100 \\
         --trace-seeds 0,91 --claim acquire:steps_per_s --out pairs.json
 
 Extracts each revision with ``git archive`` into its own temporary directory.
@@ -10,25 +10,26 @@ both trees one after the other: the parent first on even pairs, the change
 first on odd ones, so that a drift in the machine's speed falls on both sides
 alike. For each end-to-end metric of ``BENCHMARK.json`` it prints both
 medians, the ratio of the medians, the median per-pair ratio, the pairs the
-change wins and the pairs that tie. ``--trace-seeds`` adds one
-``--trace 1`` run per side and seed, and keeps its per-layer metrics.
-``--claim workload:metric`` states whether the change is better on at least
-nine of ten pairs and its median lies beyond the parent's interquartile
-range. ``--out`` writes everything as JSON, rewritten after every run, in
-the shape a ``BENCH_<n>.json`` quotes. Each run takes ``run_seconds`` plus
-five setups; the script is not part of the test suite.
+change wins and the pairs that tie; the quartiles are those of
+``perfbench/summarize.py`` (``statistics.quantiles(n=4)``). ``--trace-seeds``
+adds one ``--trace 1`` run per side and seed, and keeps its per-layer
+metrics. ``--claim workload:metric`` states whether the change is better on
+at least nine of ten pairs, its median lies beyond the parent's
+interquartile range, and it fails no larger share of operations than the
+parent. ``--out`` writes everything as JSON, rewritten after every run, in
+the shape a ``BENCH_<n>.json`` quotes. Each run takes the benchmark's own
+``run_seconds`` plus five setups; the script is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -53,12 +54,10 @@ def extract(rev: str, into: Path) -> str:
     return sha
 
 
-def bench(tree: Path, workload: str, seed: int, trace: int, seconds: float | None) -> dict:
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``, read back from its record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):   # 1 is a failed check: the record still stands
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
@@ -74,13 +73,18 @@ def bench(tree: Path, workload: str, seed: int, trace: int, seconds: float | Non
 
 
 def quartiles(values) -> dict:
-    q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+
+
+def failed_share(pairs: list[dict], side: str) -> float:
+    """Failed operations over attempted ones, summed over the pairs."""
+    return sum(p[side]["failed"] for p in pairs) / sum(p[side]["attempted"] for p in pairs)
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per declared metric: both sides' quartiles, per-pair ratios and wins."""
-    out = {}
+    out = {"failed_share": {side: failed_share(pairs, side) for side in SIDES}}
     for m in metrics:
         name = m["name"]
         before = [p["parent"]["e2e"][name] for p in pairs]
@@ -94,7 +98,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change": change,
             "ratio_of_medians": change["median"] / parent["median"],
             "pair_ratios": ratios,
-            "median_pair_ratio": float(np.median(ratios)),
+            "median_pair_ratio": statistics.median(ratios),
             "change_wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
             "ties": sum(a == b for a, b in zip(after, before)),
             "pairs": len(pairs),
@@ -108,21 +112,27 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def claim_verdict(summary: dict, workload: str, metric: str, better: str) -> dict:
-    """Better on >= 9 of 10 pairs, and the median moved by more than the parent's IQR."""
+    """Better on >= 9 of 10 pairs, the median moved by more than the parent's IQR,
+    and no larger share of failed operations than the parent."""
     s = summary[metric]
+    failed = summary["failed_share"]
     sign = 1.0 if better == "higher" else -1.0
     return {
         "workload": workload, "metric": metric, "better": better,
         "pairs": s["pairs"], "change_wins": s["change_wins"],
         "parent_median": s["parent"]["median"], "change_median": s["change"]["median"],
         "ratio": s["ratio_of_medians"], "parent_iqr": s["parent_iqr"], "median_diff": s["median_diff"],
-        "met": s["change_wins"] >= 0.9 * s["pairs"] and sign * s["median_diff"] > s["parent_iqr"],
+        "failed_share": failed,
+        "met": (s["change_wins"] >= 0.9 * s["pairs"] and sign * s["median_diff"] > s["parent_iqr"]
+                and failed["change"] <= failed["parent"]),
     }
 
 
 def print_summary(workload: str, summary: dict) -> None:
     print(f"{workload}: {'metric':<12}{'parent':>12}{'change':>12}{'ratio':>8}{'pair':>8}  wins ties")
     for name, s in summary.items():
+        if name == "failed_share":
+            continue
         print(f"{'':<{len(workload) + 2}}{name:<12}{s['parent']['median']:>12.5g}{s['change']['median']:>12.5g}"
               f"{s['ratio_of_medians']:>8.3f}{s['median_pair_ratio']:>8.3f}  {s['change_wins']:>2}/{s['pairs']:<2}{s['ties']:>3}")
 
@@ -136,7 +146,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="acquire", help=f"comma-separated, of {', '.join(names)}")
     ap.add_argument("--seeds", required=True, help="one pair per seed, e.g. 91-100")
     ap.add_argument("--trace-seeds", default="", help="seeds of one traced run per side, e.g. 0,91")
-    ap.add_argument("--seconds", type=float, default=None, help="run length (default: run_seconds)")
     ap.add_argument("--claim", default=None, help="workload:metric the change claims to improve")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
@@ -153,7 +162,7 @@ def main(argv=None) -> int:
         result.update(
             command="python3 perfbench/run.py --workload <w> --seed <n> --trace 0|1 in git archive "
                     "trees of both revisions, alternating which side runs first",
-            seconds=args.seconds if args.seconds is not None else spec["run_seconds"],
+            seconds=spec["run_seconds"],
             workloads={w: {"pairs": []} for w in workloads},
             traced={w: {} for w in workloads if trace_seeds},
         )
@@ -164,7 +173,7 @@ def main(argv=None) -> int:
 
         def run_pair(seed: int, first: str, workload: str, trace: int) -> dict:
             order = SIDES if first == "parent" else SIDES[::-1]
-            runs = {side: bench(trees[side], workload, seed, trace, args.seconds) for side in order}
+            runs = {side: bench(trees[side], workload, seed, trace) for side in order}
             for side in order:
                 result[f"{side}_src_sha256"] = runs[side].pop("src_sha256")
                 result["host"] = runs[side].pop("host")

@@ -83,7 +83,14 @@ def failed_share(pairs: list[dict], side: str) -> float:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per declared metric: both sides' quartiles, per-pair ratios and wins."""
+    """Per declared metric: both sides' quartiles, per-pair ratios and wins.
+
+    ``verdict`` is "within bound" when the change's median is no worse than
+    the parent's by more than the metric's bound, "regression" when it is,
+    and "unresolved" when the parent's interquartile range, relative to its
+    median, is wider than the bound and not every change run beats every
+    parent run.
+    """
     out = {"failed_share": {side: failed_share(pairs, side) for side in SIDES}}
     for m in metrics:
         name = m["name"]
@@ -93,6 +100,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = quartiles(before), quartiles(after)
         ratios = [a / b for a, b in zip(after, before)]
         worse = -sign * (change["median"] - parent["median"]) / parent["median"]
+        spread = (parent["q3"] - parent["q1"]) / abs(parent["median"])
+        all_better = sign * (min(after) - max(before) if sign > 0 else max(after) - min(before)) > 0
+        if spread > m["bound"] and not all_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound" if worse <= m["bound"] else "regression"
         out[name] = {
             "parent": parent,
             "change": change,
@@ -104,9 +117,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "median_diff": change["median"] - parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
+            "parent_relative_iqr": spread,
             "relative_worsening_of_median": worse,
             "bound": m["bound"],
-            "within_bound": worse <= m["bound"],
+            "verdict": verdict,
         }
     return out
 
@@ -129,12 +143,12 @@ def claim_verdict(summary: dict, workload: str, metric: str, better: str) -> dic
 
 
 def print_summary(workload: str, summary: dict) -> None:
-    print(f"{workload}: {'metric':<12}{'parent':>12}{'change':>12}{'ratio':>8}{'pair':>8}  wins ties")
+    print(f"{workload}: {'metric':<12}{'parent':>12}{'change':>12}{'ratio':>8}{'pair':>8}  wins ties  verdict")
     for name, s in summary.items():
         if name == "failed_share":
             continue
         print(f"{'':<{len(workload) + 2}}{name:<12}{s['parent']['median']:>12.5g}{s['change']['median']:>12.5g}"
-              f"{s['ratio_of_medians']:>8.3f}{s['median_pair_ratio']:>8.3f}  {s['change_wins']:>2}/{s['pairs']:<2}{s['ties']:>3}")
+              f"{s['ratio_of_medians']:>8.3f}{s['median_pair_ratio']:>8.3f}  {s['change_wins']:>2}/{s['pairs']:<2}{s['ties']:>3}  {s['verdict']}")
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.linalg import expm  # noqa: F401  unused; kept so perfbench's analysis.expm counter binds
 
 from .errors import ValidationError
-from .excitation import generate_variational
 from .network import ParameterVector, ThermalNetwork
 from .simulator import SimulationTrace
 
@@ -59,6 +58,25 @@ class ScenarioMetrics:
         }
 
 
+def rate_sensitivity(
+    params: ParameterVector,
+    topology: ThermalNetwork,
+    T_operating: np.ndarray,
+) -> np.ndarray:
+    """Temperature-rate sensitivity to each RC product at an operating point.
+
+    Entry (i, k) is the derivative of node i's temperature rate with
+    respect to parameter k: -(T_j - T_i) / p_k^2 at the parameter's edge,
+    zero elsewhere. Vanishes wherever temperatures are uniform.
+    """
+    T = np.asarray(T_operating, dtype=float)
+    idx = {nid: k for k, nid in enumerate(topology.node_ids)}
+    S = np.zeros((len(topology.nodes), len(params.p)))
+    for k, (i, j) in enumerate(params.edge_map):
+        S[idx[i], k] = -(T[idx[j]] - T[idx[i]]) / params.p[k] ** 2
+    return S
+
+
 def nullspace_trace(
     temps_series: np.ndarray,
     times: Sequence[float],
@@ -68,7 +86,7 @@ def nullspace_trace(
     """Observability snapshot at every operating point of a trajectory.
 
     The rank is n_nodes + rank(S) and the nullspace basis is [0; ker S],
-    with S the sensitivity of ``generate_variational``.
+    with S the sensitivity of ``rate_sensitivity``.
     """
     n = len(topology.nodes)
     n_p = len(params.p)
@@ -76,7 +94,7 @@ def nullspace_trace(
     for temps, t in zip(np.asarray(temps_series, dtype=float), times):
         if temps.shape != (n,):
             raise ValidationError("temperature vector has wrong length")
-        S = generate_variational(params, topology, temps)
+        S = rate_sensitivity(params, topology, temps)
         _, s, Vt = np.linalg.svd(S, full_matrices=True)
         rank = int(np.sum(s > RANK_RTOL * s[0]))
         basis = np.zeros((n + n_p, n_p - rank))

@@ -11,7 +11,7 @@ Scenario files are JSON::
                    "r_min_unocc": 60, "r_max_unocc": 80},
       "controller": "thermostat" | "mpc" | "mpc-with-excitation",
       "estimator": true,
-      "excitation_method": "eigen",
+      "excitation_method": "eigen" | "heuristic-selector",
       "duration_days": 3,
       "protocol": null | "acquisition" | "acquisition-no-excitation",
       "initial_temps": {"1": 70.0, "2": 70.0},
@@ -19,6 +19,7 @@ Scenario files are JSON::
     }
 
 The network may also be a path to a separate network JSON file.
+``initial_temps`` must name every internal node; absent, ``ScenarioConfig``'s default applies.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def load_scenario(path):
         duration = doc.get("duration_steps")
         if duration is None:
             duration = int(doc.get("duration_days", 1) * 96)
+        extra = {}
+        if "initial_temps" in doc:
+            extra["initial_temps"] = {int(k): float(v) for k, v in doc["initial_temps"].items()}
         return ScenarioConfig(
             name=doc.get("name", Path(path).stem),
             network=network,
@@ -71,9 +75,8 @@ def load_scenario(path):
             excitation_method=doc.get("excitation_method", "eigen"),
             duration_steps=int(duration),
             seed=int(doc.get("seed", 0)),
-            initial_temps={int(k): float(v) for k, v in doc.get(
-                "initial_temps", {"1": 70.0, "2": 70.0}).items()},
             protocol=doc.get("protocol"),
+            **extra,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scenario file: {exc}") from exc

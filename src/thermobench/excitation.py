@@ -1,13 +1,12 @@
 """Targeted self-excitation: decide which zones to excite and when.
 
-The generator ranks excitation targets from the current estimate: either
-from the eigen-structure of the parameter covariance (which zones touch
-the most uncertain parameter directions), from temperature sensitivities,
-or from Monte Carlo energy sensitivities. The selector turns a ranked
-candidate into a concrete short-horizon set-point modification when the
-predicted information gain justifies it: a simple heat-to-the-bound rule
-while the building is still under thermostat control, and a budgeted
-convex program once the predictive controller is running.
+The generator ranks excitation targets from the eigen-structure of the
+current estimate's parameter covariance: which zones touch the most
+uncertain parameter directions. The selector turns a ranked candidate into
+a concrete short-horizon set-point modification when the predicted
+information gain justifies it: a simple heat-to-the-bound rule while the
+building is still under thermostat control, and a budgeted convex program
+once the predictive controller is running.
 """
 
 from __future__ import annotations
@@ -19,15 +18,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import ValidationError
-from .mpc import HorizonRows, MpcConfig, MpcSolution, _weighted_gram, mpc_step, prediction_matrices
-from .network import (
-    DiscreteDynamics,
-    ParameterVector,
-    ThermalNetwork,
-    assemble_continuous,
-    discretize,
-)
-from .simulator import OccupancySchedule, PlantModel, WeatherModel
+from .mpc import HorizonRows, MpcSolution, _weighted_gram, prediction_matrices
+from .network import DiscreteDynamics, ParameterVector, ThermalNetwork
+from .network import discretize  # noqa: F401  unused; perfbench wraps it as a discretize span
 from .solver import ConicProgram, KktHook, factor_newton, find_strictly_feasible, solve
 
 
@@ -37,7 +30,6 @@ class ExcitationCandidate:
 
     eigenvalue: float
     node_weights: np.ndarray
-    source: str
 
 
 @dataclass(frozen=True)
@@ -111,57 +103,8 @@ def generate_eigen(
         # well-known direction produces no urge to excite anything
         scale = np.sqrt(max(float(eigvals[m]), 0.0))
         weights = _node_weights_for_vector(scale * eigvecs[:, m], params, topology)
-        candidates.append(ExcitationCandidate(float(eigvals[m]), weights, "eigen"))
+        candidates.append(ExcitationCandidate(float(eigvals[m]), weights))
     return candidates
-
-
-def generate_variational(
-    params: ParameterVector,
-    topology: ThermalNetwork,
-    T_operating: np.ndarray,
-) -> np.ndarray:
-    """Temperature-rate sensitivity to each RC product at an operating point.
-
-    Entry (i, k) is the derivative of node i's temperature rate with
-    respect to parameter k: -(T_j - T_i) / p_k^2 at the parameter's edge,
-    zero elsewhere. Vanishes wherever temperatures are uniform.
-    """
-    T = np.asarray(T_operating, dtype=float)
-    idx = {nid: k for k, nid in enumerate(topology.node_ids)}
-    S = np.zeros((len(topology.nodes), len(params.p)))
-    for k, (i, j) in enumerate(params.edge_map):
-        S[idx[i], k] = -(T[idx[j]] - T[idx[i]]) / params.p[k] ** 2
-    return S
-
-
-def variational_candidates(
-    params: ParameterVector,
-    topology: ThermalNetwork,
-    T_operating: np.ndarray,
-) -> list[ExcitationCandidate]:
-    """Rank parameters by sensitivity column norm, mapped to node weights."""
-    S = generate_variational(params, topology, T_operating)
-    norms = np.linalg.norm(S, axis=0)
-    order = sorted(range(len(params.p)), key=lambda k: (-norms[k], k))
-    out = []
-    for k in order:
-        basis = np.zeros(len(params.p))
-        basis[k] = 1.0
-        weights = _node_weights_for_vector(basis, params, topology)
-        out.append(ExcitationCandidate(float(norms[k]), weights, "variational"))
-    return out
-
-
-def montecarlo_candidates(sensitivity: "EnergySensitivity", params, topology):
-    """Rank parameters by the energy-regression t-statistic, as node weights."""
-    order = sorted(range(len(params.p)), key=lambda k: (-sensitivity.tstats[k], k))
-    out = []
-    for k in order:
-        basis = np.zeros(len(params.p))
-        basis[k] = 1.0
-        weights = _node_weights_for_vector(basis, params, topology)
-        out.append(ExcitationCandidate(float(sensitivity.tstats[k]), weights, "montecarlo"))
-    return out
 
 
 def _node_weights_for_vector(v, params, topology):
@@ -179,105 +122,6 @@ def _node_weights_for_vector(v, params, topology):
         else:
             w[r] = off[r, :].sum() - off[:, r].sum()
     return w
-
-
-@dataclass
-class EnergySensitivity:
-    """Per-parameter regression of closed-loop energy on parameter value."""
-
-    slopes: np.ndarray
-    stderrs: np.ndarray
-    tstats: np.ndarray
-    n_samples: int
-    n_resampled: int
-    zero_information: bool
-
-
-def generate_montecarlo(
-    params: ParameterVector,
-    covariance: np.ndarray,
-    topology: ThermalNetwork,
-    mpc_config: MpcConfig,
-    sched: OccupancySchedule,
-    weather: WeatherModel,
-    T0: np.ndarray,
-    duration_steps: int,
-    dt: float,
-    n_samples: int,
-    seed: int,
-) -> EnergySensitivity:
-    """Energy sensitivity to parameters via sampled closed-loop runs.
-
-    Each sample draws a plant parameterization from the estimate
-    distribution (resampling any non-positive draw), runs the predictive
-    controller built on the mean estimate against that plant, and records
-    total control effort over ``duration_steps`` steps of ``dt`` minutes.
-    Slopes come from per-parameter least squares.
-    """
-    if n_samples < 2:
-        raise ValidationError("need at least two samples")
-    n_p = len(params.p)
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (n_p, n_p):
-        raise ValidationError("covariance must cover the RC parameters")
-    if np.allclose(cov, 0.0):
-        return EnergySensitivity(
-            np.zeros(n_p), np.full(n_p, np.inf), np.zeros(n_p),
-            n_samples, 0, True,
-        )
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / n_p * np.eye(n_p))
-    mean_model = discretize(assemble_continuous(params, topology), dt)
-    samples = np.empty((n_samples, n_p))
-    energies = np.empty(n_samples)
-    resampled = 0
-    for s in range(n_samples):
-        for _ in range(200):
-            draw = params.p + chol @ rng.standard_normal(n_p)
-            if np.all(draw > 0):
-                break
-            resampled += 1
-        else:
-            raise ValidationError("could not draw positive parameters")
-        samples[s] = draw
-        plant_pv = params.with_values(draw, params.q)
-        energies[s] = _closed_loop_energy(
-            plant_pv, topology, mean_model, mpc_config, sched, weather,
-            T0, duration_steps,
-        )
-    slopes = np.empty(n_p)
-    stderrs = np.empty(n_p)
-    for k in range(n_p):
-        x = samples[:, k] - samples[:, k].mean()
-        y = energies - energies.mean()
-        sxx = float(x @ x)
-        if sxx <= 0:
-            slopes[k], stderrs[k] = 0.0, np.inf
-            continue
-        slopes[k] = float(x @ y) / sxx
-        resid = y - slopes[k] * x
-        dof = max(1, n_samples - 2)
-        stderrs[k] = np.sqrt(float(resid @ resid) / dof / sxx)
-    tstats = np.abs(slopes) / np.maximum(stderrs, 1e-300)
-    return EnergySensitivity(slopes, stderrs, tstats, n_samples, resampled, False)
-
-
-def _closed_loop_energy(plant_pv, topology, controller_model, cfg, sched,
-                        weather, T0, duration_steps):
-    plant = PlantModel.from_parameters(plant_pv, topology)
-    state = plant.initial_state(
-        {nid: T0[i] for i, nid in enumerate(topology.internal_ids)}, weather
-    )
-    energy = 0.0
-    int_pos = plant._int_pos
-    dt = controller_model.dt
-    for k in range(duration_steps):
-        u, _ = mpc_step(
-            controller_model, state.true_temps[int_pos], k * dt, sched, weather, cfg
-        )
-        energy += float(np.sum(u))
-        state = plant.step(state, u, weather, dt)
-    return energy
 
 
 def _choose_targets(

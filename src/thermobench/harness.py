@@ -28,11 +28,8 @@ from .excitation import (
     Experiment,
     SelectorState,
     generate_eigen,
-    generate_montecarlo,
-    montecarlo_candidates,
     select_heuristic,
     select_optimal,
-    variational_candidates,
 )
 from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
 from .mpc import MpcConfig, mpc_step
@@ -87,7 +84,7 @@ class ScenarioConfig:
     estimator: bool = True
     ukf: UkfConfig = UkfConfig()
     mpc: MpcConfig = MpcConfig()
-    excitation_method: str = "eigen"
+    excitation_method: str = "eigen"  # eigen | heuristic-selector
     duration_steps: int = 96
     dt: float = 15.0
     seed: int = 0
@@ -107,9 +104,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.controller not in ("thermostat", "mpc", "mpc-with-excitation"):
             raise ValidationError(f"unknown controller {self.controller!r}")
-        if self.excitation_method not in (
-            "eigen", "variational", "montecarlo", "heuristic-selector",
-        ):
+        if self.excitation_method not in ("eigen", "heuristic-selector"):
             raise ValidationError(f"unknown excitation method {self.excitation_method!r}")
         if self.duration_steps < 0:
             raise ValidationError("duration must be non-negative")
@@ -237,7 +232,6 @@ class _Run:
         self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=tuple(zones))
         self.selector = config.selector
         self.experiment: Optional[Experiment] = None
-        self.mc_cache: dict = {}
         self.obs_temps: list = []
         self.obs_times: list = []
         self.estimates: list[EstimateRecord] = []
@@ -378,7 +372,9 @@ def _excite(run: _Run, step: _Step) -> None:
     if step.selector is None or run.experiment is not None:
         return
     t, events = step.t, run.events
-    candidates = _candidates_for(run, step)
+    candidates = generate_eigen(
+        parameter_covariance_block(run.est_state), _estimated_params(run), config.network
+    )
     model = _control_model(run, step)
     if step.selector == "optimal":
         step.mpc = mpc_step(model, step.temps, t, config.schedule, run.weather, config.mpc)
@@ -493,27 +489,6 @@ def _control_model(run: _Run, step: _Step) -> DiscreteDynamics:
             assemble_continuous(_estimated_params(run), run.config.network), run.config.dt
         )
     return step.model
-
-
-def _candidates_for(run: _Run, step: _Step):
-    config, est, net = run.config, run.est_state, run.config.network
-    pv_est = _estimated_params(run)
-    if config.excitation_method == "variational":
-        return variational_candidates(pv_est, net, step.z)
-    if config.excitation_method == "montecarlo":
-        # the sampled closed-loop runs are expensive: re-rank once per day
-        day = int(step.t // 1440.0)
-        if day not in run.mc_cache:
-            sens = generate_montecarlo(
-                pv_est, parameter_covariance_block(est), net,
-                replace(config.mpc, horizon=24), config.schedule, run.weather,
-                est.temps[run.zone_rows], duration_steps=16, dt=config.dt,
-                n_samples=6, seed=(config.seed, 0x3C, day),
-            )
-            run.mc_cache[day] = montecarlo_candidates(sens, pv_est, net)
-        return run.mc_cache[day]
-    # eigen, and the generator of the heuristic-selector method
-    return generate_eigen(parameter_covariance_block(est), pv_est, net)
 
 
 # ---------------------------------------------------------------------------

@@ -168,27 +168,21 @@ class PlantModel:
 
     SUBSTEP = 1.0
 
-    def __init__(self, net: ThermalNetwork, substep: float = SUBSTEP, dynamics=None):
+    def __init__(self, net: ThermalNetwork, substep: float = SUBSTEP):
         self.net = net
         self.substep = float(substep)
-        cont = dynamics if dynamics is not None else continuous_from_network(net)
-        self._disc = discretize(cont, self.substep)
+        self._disc = discretize(continuous_from_network(net), self.substep)
         self._int_pos = [net.index_of(i) for i in self._disc.internal_ids]
         self._ext_pos = [net.index_of(i) for i in self._disc.external_ids]
-
-    @classmethod
-    def from_parameters(cls, params, net: ThermalNetwork,
-                        substep: float = SUBSTEP) -> "PlantModel":
-        """A plant whose dynamics come from a parameter vector, not the graph."""
-        from .network import assemble_continuous
-
-        return cls(net, substep, dynamics=assemble_continuous(params, net))
 
     @property
     def discrete(self) -> DiscreteDynamics:
         return self._disc
 
     def initial_state(self, temps_by_id: dict[int, float], weather: WeatherModel) -> PlantState:
+        """Start state; ``temps_by_id`` must name exactly the internal nodes."""
+        if set(temps_by_id) != set(self._disc.internal_ids):
+            raise ValidationError(f"initial temperatures must name nodes {self._disc.internal_ids}")
         temps = np.empty(len(self.net.nodes))
         for nid, value in temps_by_id.items():
             temps[self.net.index_of(nid)] = value

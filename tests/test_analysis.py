@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from thermobench.analysis import compute_metrics, coordinate_names, nullspace_trace
-from thermobench.excitation import generate_variational
+from thermobench.analysis import compute_metrics, coordinate_names, nullspace_trace, rate_sensitivity
 from thermobench.network import (
     assemble_continuous,
     continuous_from_network,
@@ -99,10 +98,41 @@ class TestAugmentedJacobian:
         net, pv = table1()
         for temps in ([70.0, 66.0, 20.0], [68.0, 68.0, 68.0], [71.0, 71.0, 35.0]):
             J = oracle_jacobian(np.array(temps), pv, net)
-            np.testing.assert_array_equal(J[:3, 3:], generate_variational(pv, net, temps))
+            np.testing.assert_array_equal(J[:3, 3:], rate_sensitivity(pv, net, temps))
         J = oracle_jacobian(np.array([70.0, 66.0, 20.0]), pv, net)
         assert J[0, 3] == pytest.approx(-(66.0 - 70.0) / 2550.0**2)
         assert J[1, 5] == pytest.approx(-(70.0 - 66.0) / 1500.0**2)
+
+
+class TestRateSensitivity:
+    def test_uniform_temperatures_vanish(self):
+        net, pv = table1()
+        S = rate_sensitivity(pv, net, np.full(3, 70.0))
+        np.testing.assert_allclose(S, 0.0)
+
+    def test_matches_finite_differences(self):
+        net, pv = table1()
+        T = np.array([70.0, 64.0, 22.0])
+
+        def rate(p_vec):
+            cont = assemble_continuous(pv.with_values(p_vec, pv.q), net)
+            return cont.A @ T
+
+        S = rate_sensitivity(pv, net, T)
+        for k in range(4):
+            h = pv.p[k] * 1e-5
+            bump = np.zeros(4)
+            bump[k] = h
+            fd = (rate(pv.p + bump) - rate(pv.p - bump)) / (2 * h)
+            np.testing.assert_allclose(S[:, k], fd, rtol=1e-6, atol=1e-14)
+
+    def test_linear_in_temperature_difference(self):
+        net, pv = table1()
+        base = np.array([70.0, 64.0, 22.0])
+        doubled = np.array([76.0, 64.0, 22.0])  # doubles T1 - T2
+        S1 = rate_sensitivity(pv, net, base)
+        S2 = rate_sensitivity(pv, net, doubled)
+        assert S2[1, 2] == pytest.approx(2.0 * S1[1, 2])
 
 
 class TestObservabilityMatrix:

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from thermobench import excitation
 from thermobench.errors import ValidationError
 from thermobench.excitation import (
-    EnergySensitivity,
     Experiment,
     SelectorState,
     _choose_targets,
@@ -15,11 +14,8 @@ from thermobench.excitation import (
     _separation_objective,
     _separation_program,
     generate_eigen,
-    generate_montecarlo,
-    generate_variational,
     select_heuristic,
     select_optimal,
-    variational_candidates,
 )
 from thermobench.mpc import MpcConfig, MpcSolution, build_mpc_problem, horizon_bounds, solve_mpc
 from thermobench.network import (
@@ -114,45 +110,6 @@ class TestGenerateEigen:
         assert mags == swapped
 
 
-class TestGenerateVariational:
-    def test_uniform_temperatures_vanish(self):
-        net, pv = table1()
-        S = generate_variational(pv, net, np.full(3, 70.0))
-        np.testing.assert_allclose(S, 0.0)
-
-    def test_matches_finite_differences(self):
-        net, pv = table1()
-        T = np.array([70.0, 64.0, 22.0])
-
-        def rate(p_vec):
-            from thermobench.network import assemble_continuous
-            cont = assemble_continuous(pv.with_values(p_vec, pv.q), net)
-            return cont.A @ T
-
-        S = generate_variational(pv, net, T)
-        for k in range(4):
-            h = pv.p[k] * 1e-5
-            bump = np.zeros(4)
-            bump[k] = h
-            fd = (rate(pv.p + bump) - rate(pv.p - bump)) / (2 * h)
-            np.testing.assert_allclose(S[:, k], fd, rtol=1e-6, atol=1e-14)
-
-    def test_linear_in_temperature_difference(self):
-        net, pv = table1()
-        base = np.array([70.0, 64.0, 22.0])
-        doubled = np.array([76.0, 64.0, 22.0])  # doubles T1 - T2
-        S1 = generate_variational(pv, net, base)
-        S2 = generate_variational(pv, net, doubled)
-        assert S2[1, 2] == pytest.approx(2.0 * S1[1, 2])
-
-    def test_candidates_ranked_by_column_norm(self):
-        net, pv = table1()
-        cands = variational_candidates(pv, net, np.array([70.0, 64.0, 22.0]))
-        assert len(cands) == 4
-        assert cands[0].eigenvalue >= cands[-1].eigenvalue
-        assert all(c.source == "variational" for c in cands)
-
-
 class TestChooseTargets:
     def test_pair_case(self):
         net, _ = table1()
@@ -178,7 +135,7 @@ class TestChooseTargets:
 
 def make_candidate(weights):
     return __import__("thermobench.excitation", fromlist=["ExcitationCandidate"]).ExcitationCandidate(
-        1.0, np.array(weights, dtype=float), "test"
+        1.0, np.array(weights, dtype=float)
     )
 
 
@@ -451,40 +408,3 @@ def test_separation_lp_matches_highs(case, direction):
     sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), program.x0)
     assert sol.optimal
     assert abs(c @ sol.x - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
-
-
-class TestMonteCarlo:
-    def test_zero_covariance_flags_no_information(self):
-        net, pv = table1()
-        res = generate_montecarlo(
-            pv, np.zeros((4, 4)), net, MpcConfig(horizon=8),
-            OccupancySchedule(), WeatherModel(mean_temp=25.0),
-            np.array([70.0, 70.0]), duration_steps=4, dt=15.0, n_samples=4, seed=1,
-        )
-        assert res.zero_information
-
-    def test_deterministic_given_seed(self):
-        net, pv = table1()
-        kw = dict(
-            topology=net, mpc_config=MpcConfig(horizon=8),
-            sched=OccupancySchedule(),
-            weather=WeatherModel(mean_temp=25.0, daily_amp=10.0),
-            T0=np.array([69.0, 69.0]), duration_steps=4, dt=15.0, n_samples=3, seed=11,
-        )
-        cov = np.diag((0.2 * pv.p) ** 2)
-        a = generate_montecarlo(pv, cov, **kw)
-        b = generate_montecarlo(pv, cov, **kw)
-        np.testing.assert_array_equal(a.slopes, b.slopes)
-        np.testing.assert_array_equal(a.tstats, b.tstats)
-
-    def test_inflated_variance_dominates_tstat(self):
-        net, pv = table1()
-        cov = np.diag([(0.35 * pv.p[0]) ** 2, 1e-8, 1e-8, 1e-8])
-        res = generate_montecarlo(
-            pv, cov, net, MpcConfig(horizon=16),
-            OccupancySchedule(),
-            WeatherModel(mean_temp=15.0, daily_amp=20.0),
-            np.array([63.0, 63.0]), duration_steps=16, dt=15.0, n_samples=8, seed=5,
-        )
-        assert not res.zero_information
-        assert np.argmax(res.tstats) == 0

@@ -171,10 +171,12 @@ class TestStepPolicy:
     def test_mode_and_selector(self, overrides, t, converged, expected):
         assert step_policy(tiny_config(**overrides), t, converged) == expected
 
-    def test_optimal_selector_method_is_gone(self):
-        # it behaved exactly as "eigen"; the name is now rejected
+    @pytest.mark.parametrize("method", ["optimal-selector", "variational", "montecarlo"])
+    def test_removed_excitation_methods_are_rejected(self, method):
+        # "optimal-selector" behaved exactly as "eigen"; the variational and
+        # Monte Carlo generators never beat it; the names are now rejected
         with pytest.raises(ValidationError, match="unknown excitation method"):
-            tiny_config(controller="mpc-with-excitation", excitation_method="optimal-selector")
+            tiny_config(controller="mpc-with-excitation", excitation_method=method)
 
 
 def test_selector_step_solves_its_mpc_problem_once(monkeypatch):
@@ -292,6 +294,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compare", str(tmp_path / "nope"), str(tmp_path / "nope2")])
 
+    def test_initial_temps_must_name_every_zone(self, tmp_path):
+        # without initial_temps the two-zone default leaves zone 4 unnamed;
+        # it must be rejected, not started from an uninitialised buffer
+        doc = self.scenario_doc()
+        doc["network"]["nodes"].append({"id": 4, "capacitance": 12.0})
+        doc["network"]["edges"] += [{"i": 2, "j": 4, "resistance": 120.0},
+                                    {"i": 4, "j": 3, "resistance": 80.0}]
+        doc["network"]["heaters"].append({"node": 4, "rate": 0.2})
+        path = tmp_path / "three_zone.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="initial temperatures"):
+            run_scenario(load_scenario(path))
+        doc["initial_temps"] = {"1": 70.0, "2": 70.0, "4": 65.0}
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(path))
+        assert report.status == "ok"
+        z0 = report.trace.rows[0].measured_temps
+        assert z0[report.trace.node_ids.index(4)] == pytest.approx(65.0, abs=1.0)
+
     def test_malformed_scenario_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"network": {"nodes": []}}))
@@ -311,39 +332,3 @@ class TestConsensusBank:
         cons = [e for e in report.events if e.kind == "consensus"]
         assert [e.time for e in cons] == [1440.0]
         assert cons[0].detail in ("agree",) or cons[0].detail.startswith("disagree")
-
-
-def test_montecarlo_excitation_method_runs():
-    from thermobench.presets import acquisition_config
-
-    config = replace(
-        acquisition_config(seed=3, days=3, name="mc"),
-        excitation_method="montecarlo",
-    )
-    report = run_scenario(config)
-    assert report.status == "ok"
-    assert any(r.mode == "excitation" for r in report.trace.rows)
-
-
-def test_montecarlo_ranks_on_the_plant_weather(monkeypatch):
-    """The sampled closed-loop runs see the weather realisation the plant
-    sees, seeded by the scenario seed, not the weather model's own seed."""
-    from thermobench import harness
-
-    class Stop(Exception):
-        pass
-
-    seen = []
-
-    def recording(params, covariance, topology, mpc_config, sched, weather, *args, **kwargs):
-        seen.append(weather)
-        raise Stop
-
-    monkeypatch.setattr(harness, "generate_montecarlo", recording)
-    config = tiny_config(controller="mpc-with-excitation", force_mpc=True, start_at_truth=True,
-                         excitation_method="montecarlo", seed=11)
-    assert config.weather.seed != config.seed
-    with pytest.raises(Stop):
-        run_scenario(config)
-    assert seen[0].seed == config.seed
-    assert seen[0] == replace(config.weather, seed=config.seed)

@@ -12,6 +12,7 @@ import pytest
 
 from thermobench import harness
 from thermobench.network import minimal_parameterization, two_zone_example
+from thermobench.presets import acquisition_config
 from thermobench.ukf import UkfConfig, UkfModel, initial_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +43,13 @@ def test_one_predict_makes_one_sigma_point_expm_call(spans):
         harness.predict(state, np.array([0.3, 0.7]), 15.0, model)
     assert probe.calls["ukf.predict"] == 1
     assert probe.calls["ukf.expm"] == 1
+
+
+def test_acquisition_excites_through_the_wrapped_bindings(spans):
+    # the loop must reach the generator and the selector through harness's
+    # names, or perfbench's excitation spans silently read zero
+    probe = spans.Probe(timed=True)
+    with spans.patched(probe.sites()):
+        harness.run_scenario(acquisition_config(seed=0, days=3))
+    assert probe.calls["excitation.generate_eigen"] >= 1
+    assert probe.calls["excitation.select_heuristic"] >= 1

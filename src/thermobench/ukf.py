@@ -316,6 +316,16 @@ def mark_converged(state: UkfState, converged: bool = True) -> UkfState:
 
 
 def _assert_psd(P: np.ndarray) -> None:
-    min_eig = float(np.min(np.linalg.eigvalsh(P)))
-    if min_eig < -1e-9:
+    """Raise when the smallest eigenvalue of P is below -1e-9.
+
+    That is when P + 1e-9 I is not positive definite, which one Cholesky
+    factorization tells; the eigenvalues are computed only for the message.
+    dpotrf reads the lower triangle, as eigvalsh does, and both are backward
+    stable: each decides for a matrix within a few ulps of ||P|| of P. So
+    the two verdicts differ only for a smallest eigenvalue within that
+    rounding distance of -1e-9.
+    """
+    _, info = dpotrf(P + 1e-9 * np.eye(len(P)), lower=1, clean=0)
+    if info > 0:
+        min_eig = float(np.min(np.linalg.eigvalsh(P)))
         raise NumericalDegeneracyError(f"covariance lost PSD: min eig {min_eig:.3e}")

@@ -338,3 +338,21 @@ def test_mark_converged_scales_process_noise():
         np.diag(parameter_covariance_block(quiet))
         <= np.diag(parameter_covariance_block(loud)) + 1e-15
     )
+
+
+@pytest.mark.parametrize("offset, raises", [(-1e-11, True), (1e-11, False), (-1e-6, True), (1.0, False)])
+def test_psd_guard_threshold(offset, raises):
+    """The Cholesky guard keeps the eigenvalue test's verdict on either side
+    of its -1e-9 threshold: P's smallest eigenvalue is -1e-9 + offset, the
+    rest are spread over [1e-3, 1e3] in a random basis."""
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    eig = np.concatenate([[-1e-9 + offset], np.logspace(-3, 3, 8)])
+    P = (Q * eig) @ Q.T
+    P = 0.5 * (P + P.T)
+    assert (np.min(np.linalg.eigvalsh(P)) < -1e-9) == raises
+    if raises:
+        with pytest.raises(NumericalDegeneracyError, match="lost PSD"):
+            ukf._assert_psd(P)
+    else:
+        ukf._assert_psd(P)

@@ -389,10 +389,10 @@ def _separation_kkt(G, powers, ne):
     return kkt
 
 
-def _separation_objective(case, direction, G, zones, n_ext):
-    """The controls' costs in one sign-fixed LP, c_u = -direction G' y: y
-    weights each predicted temperature by its share in the horizon-summed
-    separation. The modified bounds cost nothing."""
+def _separation_weights(case, direction, zones, n_ext, h):
+    """The weight v of each predicted temperature, time-major over the h
+    steps, in one sign-fixed LP: its controls cost c_u = -G' v, its share in
+    the horizon-summed separation. The modified bounds cost nothing."""
     n = len(zones)
     kind, nodes = case
     zi = zones.index(nodes[0])
@@ -404,7 +404,19 @@ def _separation_objective(case, direction, G, zones, n_ext):
         # one count per external node; the ambient itself is not a decision
         y[:] = -1.0
         y[zi] = n - 1 + n_ext
-    return -direction * (G.T @ np.tile(y, G.shape[0] // n))
+    return direction * np.tile(y, h)
+
+
+def _separation_start(program, v):
+    """The LP's solver start: the phase-one point x0 with its slacks, and the
+    multipliers max(-v, 0) on the rows T >= r_min and max(v, 0) on T <= r_max,
+    zero elsewhere. They cancel c_u = -G' v, so the start is exactly dual
+    feasible, as x0 is primal feasible."""
+    nw, nu = program.G.shape
+    z = np.zeros(len(program.b))
+    z[2 * nu:2 * nu + nw] = np.maximum(-v, 0.0)
+    z[2 * nu + nw:2 * nu + 2 * nw] = np.maximum(v, 0.0)
+    return program.x0, program.b - program.A @ program.x0, z
 
 
 def _separation_lp(case, direction, program, forecast, zones):
@@ -413,9 +425,11 @@ def _separation_lp(case, direction, program, forecast, zones):
     nw, nu = G.shape
     n = len(zones)
     h = nw // n
+    v = _separation_weights(case, direction, zones, forecast.shape[1], h)
     c = np.zeros(program.A.shape[1])
-    c[:nu] = _separation_objective(case, direction, G, zones, forecast.shape[1])
-    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), program.x0)
+    c[:nu] = -(G.T @ v)
+    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt),
+                _separation_start(program, v))
     if not sol.optimal:
         return None
     u_opt = np.clip(sol.x[:nu], 0.0, 1.0)

@@ -32,7 +32,7 @@ from .excitation import (
     select_optimal,
 )
 from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
-from .mpc import MpcConfig, mpc_step
+from .mpc import MpcConfig, MpcSolution, mpc_step
 from .network import (
     DiscreteDynamics,
     ParameterVector,
@@ -231,6 +231,8 @@ class _Run:
         self.u_prev = np.zeros(len(self.plant.discrete.heated_ids))
         self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=tuple(zones))
         self.selector = config.selector
+        # the latest MPC solution, which the next solve starts from
+        self.last_mpc: Optional[MpcSolution] = None
         self.experiment: Optional[Experiment] = None
         self.obs_temps: list = []
         self.obs_times: list = []
@@ -377,8 +379,9 @@ def _excite(run: _Run, step: _Step) -> None:
     )
     model = _control_model(run, step)
     if step.selector == "optimal":
-        step.mpc = mpc_step(model, step.temps, t, config.schedule, run.weather, config.mpc)
-        baseline = step.mpc[1]
+        step.mpc = mpc_step(model, step.temps, t, config.schedule, run.weather, config.mpc,
+                            previous=run.last_mpc)
+        baseline = run.last_mpc = step.mpc[1]
         if baseline.converged:
             run.experiment, run.selector, diag = select_optimal(
                 candidates, baseline, run.selector, config.network, t,
@@ -420,9 +423,10 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
         if step.mpc is None or exp_override is not None:
             step.mpc = mpc_step(
                 _control_model(run, step), step.temps, step.t, config.schedule,
-                run.weather, config.mpc, r_min_override=exp_override,
+                run.weather, config.mpc, r_min_override=exp_override, previous=run.last_mpc,
             )
         u, sol = step.mpc
+        run.last_mpc = sol
         if not sol.converged:
             run.events.append(MonitorEvent(
                 step.t, "mpc-failure",

@@ -11,7 +11,8 @@ from thermobench.excitation import (
     SelectorState,
     _choose_targets,
     _separation_lp,
-    _separation_objective,
+    _separation_start,
+    _separation_weights,
     _separation_program,
     generate_eigen,
     select_heuristic,
@@ -401,10 +402,13 @@ def test_separation_lp_matches_highs(case, direction):
     (c, A, b)."""
     program, problem = separation_setup(table1_model(), 96, 8)
     assert program.x0 is not None
+    v = _separation_weights(case, direction, [1, 2], 1, 96)
     c = np.zeros(program.A.shape[1])
-    c[:program.G.shape[1]] = _separation_objective(case, direction, program.G, [1, 2], 1)
+    c[:program.G.shape[1]] = -(program.G.T @ v)
     ref = linprog(c, A_ub=program.A, b_ub=program.b, bounds=(None, None), method="highs")
     assert ref.success
-    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), program.x0)
+    start = _separation_start(program, v)
+    assert np.allclose(c + program.A.T @ start[2], 0.0) and np.all(start[1] > 0)
+    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), start)
     assert sol.optimal
     assert abs(c @ sol.x - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))

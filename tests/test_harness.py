@@ -19,7 +19,7 @@ from thermobench.harness import (
     step_policy,
 )
 from thermobench.cli import load_scenario, main
-from thermobench.network import two_zone_example
+from thermobench.network import minimal_parameterization, two_zone_example
 from thermobench.presets import (
     acquisition_config,
     acquisition_weather,
@@ -191,9 +191,9 @@ def test_selector_step_solves_its_mpc_problem_once(monkeypatch):
     calls = []
     solve = mpc.solve_mpc
 
-    def counting(problem):
+    def counting(problem, previous=None):
         calls.append(problem)
-        return solve(problem)
+        return solve(problem, previous)
 
     monkeypatch.setattr(mpc, "solve_mpc", counting)
     report = run_scenario(config)
@@ -332,3 +332,26 @@ class TestConsensusBank:
         cons = [e for e in report.events if e.kind == "consensus"]
         assert [e.time for e in cons] == [1440.0]
         assert cons[0].detail in ("agree",) or cons[0].detail.startswith("disagree")
+
+
+def test_mpc_runs_do_not_share_warm_starts(tmp_path):
+    """Each run starts its MPC cold and warms only from its own solves: an
+    MPC run, a different one, then the first again in one process write the
+    same manifest the first time and the third."""
+    net = two_zone_example()
+    week = ScenarioConfig(
+        name="mpc-week", network=net, weather=comparison_weather(), controller="mpc",
+        estimator=False, duration_steps=6, seed=1, force_mpc=True,
+        frozen_params=minimal_parameterization(net),
+    )
+    # one step: its last solve starts where the first run's first one does
+    online = ScenarioConfig(
+        name="online", network=net, weather=acquisition_weather(),
+        controller="mpc-with-excitation", estimator=True, duration_steps=1,
+        start_at_truth=True, force_mpc=True,
+    )
+    for name, config in (("a", week), ("b", online), ("c", week)):
+        run_scenario(config, tmp_path / name)
+    first, third = ((tmp_path / name / "report.csv").read_text() for name in ("a", "c"))
+    assert first == third
+    assert sum(line.startswith("sha256_") for line in first.splitlines()) >= 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,6 +12,7 @@ from thermobench.mpc import (
     MpcConfig,
     _closed_form_cost,
     _condense,
+    _warm_start,
     _weighted_gram,
     build_mpc_problem,
     horizon_bounds,
@@ -88,7 +91,7 @@ def test_structured_kkt_matches_dense():
         cfg = MpcConfig(horizon=h, Q_togo=q_togo)
         problem = build_mpc_problem(table1_model(), np.array([66.0, 71.0]),
                                     np.full(h, 30.0), r_min, r_max, cfg)
-        prog, _, _ = _condense(problem)
+        prog = _condense(problem)[0]
         assert len(prog.cones) == (2 if q_togo > 0 else 1)
         A = prog.A.toarray()
         for _ in range(4):
@@ -360,8 +363,8 @@ def true_model_week_seed29():
     solved = []
     solve = mpc_module.solve_mpc
 
-    def recording(problem):
-        solution = solve(problem)
+    def recording(problem, previous=None):
+        solution = solve(problem, previous)
         solved.append((problem, solution))
         return solution
 
@@ -379,6 +382,72 @@ def test_true_model_week_seed29_no_fallback(true_model_week_seed29):
     assert [e for e in report.events if e.kind == "mpc-failure"] == []
     assert {row.mode for row in report.trace.rows} == {"mpc"}
     assert all(sol.converged for _, sol in solved.values())
+
+
+def test_warm_starts_agree_with_cold(true_model_week_seed29):
+    """On every instance of the seed-29 week, solves started from the
+    shifted previous solution, from all zeros and from a point far outside
+    the cones end optimal where the cold solve does: the start's centring
+    moves the last two inside the cones. Each is solved to 1e-10, which
+    brings two optimal points within the bounds; at the loop's 1e-8 the
+    costs of the far starts differ from the cold one's by up to 3e-8 of it."""
+    _, solved = true_model_week_seed29
+    times = sorted(solved)
+    for prev_t, t in zip(times, times[1:]):
+        problem, _ = solved[t]
+        problem = replace(problem, config=replace(problem.config, solver_tol=1e-10))
+        cold = solve_mpc(problem)
+        assert cold.converged
+        n_x, n_s = len(cold.point[0]), len(cold.point[1])
+        starts = {
+            "shifted": solved[prev_t][1],
+            # a previous solution of this same problem hands its point on as it is
+            "zeros": replace(cold, point=(np.zeros(n_x), np.zeros(n_s), np.zeros(n_s))),
+            "outside": replace(cold, point=(np.full(n_x, 10.0), np.full(n_s, -10.0),
+                                            np.full(n_s, -10.0))),
+        }
+        for name, previous in starts.items():
+            warm = solve_mpc(problem, previous)
+            assert warm.status == "optimal", f"t={t} {name}: {warm.status}"
+            assert abs(warm.cost - cold.cost) <= 1e-8 * (1.0 + abs(cold.cost)), f"t={t} {name}"
+            np.testing.assert_allclose(warm.u, cold.u, rtol=0, atol=1e-6, err_msg=f"t={t} {name}")
+
+
+def test_shifted_start_moves_each_horizon_group(true_model_week_seed29):
+    """The shift moves u, w, the five row groups and the RMS cone's tail one
+    step earlier with the last step repeated, and keeps t1, t2, the RMS
+    cone's head and the terminal cone."""
+    _, solved = true_model_week_seed29
+    _, previous = solved[450.0]
+    nxt, _ = solved[465.0]
+    x, s, z = previous.point
+    groups = _condense(nxt)[3]
+    h, n, m = 96, 2, 2
+    nu, nw = h * m, h * n
+    x1, s1, z1 = _warm_start(previous, nxt, groups)
+
+    def shifted(v, stage):
+        return np.concatenate([v[stage:], v[-stage:]])
+
+    np.testing.assert_array_equal(x1[:nu], shifted(x[:nu], m))
+    np.testing.assert_array_equal(x1[nu:nu + nw], shifted(x[nu:nu + nw], n))
+    np.testing.assert_array_equal(x1[-2:], x[-2:])
+    bounds = np.cumsum([0, nu, nu, nw, nw, nw])
+    for (lo, hi), stage in zip(zip(bounds, bounds[1:]), (m, m, n, n, n)):
+        for v, v1 in ((s, s1), (z, z1)):
+            np.testing.assert_array_equal(v1[lo:hi], shifted(v[lo:hi], stage))
+    rms = bounds[-1]
+    for v, v1 in ((s, s1), (z, z1)):
+        assert v1[rms] == v[rms]
+        np.testing.assert_array_equal(v1[rms + 1:rms + 1 + nw], shifted(v[rms + 1:rms + 1 + nw], n))
+        np.testing.assert_array_equal(v1[rms + 1 + nw:], v[rms + 1 + nw:])
+    assert len(s1) == rms + 1 + nw + 1 + n
+    # no overlap, a failed previous solve or a different layout: a cold start
+    assert _warm_start(previous, replace(nxt, t=nxt.t + 96 * 15.0), groups) is None
+    assert _warm_start(replace(previous, status="stalled"), nxt, groups) is None
+    short = replace(nxt, config=replace(nxt.config, horizon=48), forecast=nxt.forecast[:48],
+                    r_min=nxt.r_min[:48], r_max=nxt.r_max[:48], r=nxt.r[:48])
+    assert _warm_start(previous, short, _condense(short)[3]) is None
 
 
 def smoothed_cost(problem, G, d, eps=1e-7):
@@ -416,7 +485,7 @@ def test_ipm_matches_full_horizon_oracle(true_model_week_seed29):
     sample = sorted(set(times[::6]) | {450.0, 465.0})
     for t in sample:
         problem, sol = solved[t]
-        _, G, d = _condense(problem)
+        _, G, d, _ = _condense(problem)
         f = smoothed_cost(problem, G, d)
         for start in (sol.u.reshape(-1), np.zeros(G.shape[1])):
             res = minimize(f, start, jac=True, method="L-BFGS-B",

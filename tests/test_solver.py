@@ -18,10 +18,19 @@ def box_rows(n, lo, hi):
     return A, b
 
 
+def primal_start(prob, x):
+    """A start at the primal point x: its slacks, and zero multipliers."""
+    s = [prob.b - prob.A @ x]
+    for cone in prob.cones:
+        y, t = cone.residual(x)
+        s += [[t], y]
+    return x, np.concatenate(s), np.zeros(sum(map(len, s)))
+
+
 def test_simple_lp():
     A, b = box_rows(2, 1.0, 10.0)
     prob = ConicProgram(c=np.ones(2), A=A, b=b)
-    sol = solve(prob, np.array([5.0, 5.0]))
+    sol = solve(prob, primal_start(prob, np.array([5.0, 5.0])))
     assert sol.optimal
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-6)
     assert sol.max_violation <= 0
@@ -42,7 +51,8 @@ def test_random_lps_match_linprog():
         assert ref.success
         x0 = find_strictly_feasible(A, b)
         assert x0 is not None
-        sol = solve(ConicProgram(c=c, A=A, b=b), x0)
+        prob = ConicProgram(c=c, A=A, b=b)
+        sol = solve(prob, primal_start(prob, x0))
         assert sol.optimal, f"trial {trial}: {sol.status}"
         assert c @ sol.x <= ref.fun + 1e-5
         assert np.max(A @ sol.x - b) <= 1e-7
@@ -64,7 +74,7 @@ def test_box_projection_socp():
         cone = ConeConstraint(F=F, g=-z, d=d)
         prob = ConicProgram(c=c, A=A, b=b_box, cones=(cone,))
         x0 = np.concatenate([np.full(n, 0.5), [np.linalg.norm(np.full(n, 0.5) - z) + 1.0]])
-        sol = solve(prob, x0)
+        sol = solve(prob, primal_start(prob, x0))
         expected = np.linalg.norm(np.clip(z, 0.0, 1.0) - z)
         assert sol.optimal
         assert abs(sol.x[-1] - expected) < 1e-5
@@ -77,7 +87,8 @@ def test_cone_value_reaches_zero_norm():
     A = np.hstack([A_box, np.zeros((2, 1))])
     c = np.array([0.0, 1.0])
     cone = ConeConstraint(F=np.array([[1.0, 0.0]]), g=np.zeros(1), d=np.array([0.0, 1.0]))
-    sol = solve(ConicProgram(c=c, A=A, b=b_box, cones=(cone,)), np.array([0.5, 2.0]))
+    prob = ConicProgram(c=c, A=A, b=b_box, cones=(cone,))
+    sol = solve(prob, primal_start(prob, np.array([0.5, 2.0])))
     assert sol.x[1] < 1e-4
     assert abs(sol.x[0]) < 1e-3
 
@@ -86,7 +97,8 @@ def test_infeasible_start_recovers():
     # the method does not need a feasible start: it drives the primal
     # residual to zero on the way to the optimum
     A, b = box_rows(2, 0.0, 1.0)
-    sol = solve(ConicProgram(c=np.ones(2), A=A, b=b), np.array([7.0, -3.0]))
+    prob = ConicProgram(c=np.ones(2), A=A, b=b)
+    sol = solve(prob, primal_start(prob, np.array([7.0, -3.0])))
     assert sol.optimal
     np.testing.assert_allclose(sol.x, [0.0, 0.0], atol=1e-6)
     assert np.max(A @ sol.x - b) <= 1e-7

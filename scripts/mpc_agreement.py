@@ -7,7 +7,8 @@
 ``--record`` runs the table2-comparison preset and saves the arrays of every
 ``MpcProblem`` its MPC leg solves (672 at the default length, one per step of
 the week), with the recording checkout's own solutions. ``--solve`` re-solves
-the recorded problems with this checkout's ``solve_mpc`` and saves its
+the recorded problems in order with this checkout's ``solve_mpc``, each
+starting from the solution before it as the closed loop does, and saves its
 solutions. ``--compare`` reads two files that hold solutions (recorded or
 solved) of the same problems and prints the largest |du| and |dcost|, the
 largest |dcost| / (1 + |cost|), the status changes, and the total IPM
@@ -56,8 +57,8 @@ def record(path: Path, seed: int) -> None:
     solved = []
     solve = mpc.solve_mpc
 
-    def recording(problem):
-        solution = solve(problem)
+    def recording(problem, previous=None):
+        solution = solve(problem, previous)
         solved.append((problem, solution))
         return solution
 
@@ -85,6 +86,7 @@ def record(path: Path, seed: int) -> None:
 
 
 def load_problems(path: Path):
+    """The recorded problems, one per step of the week from t = 0."""
     data = np.load(path)
     ids = {name: tuple(int(i) for i in data[name])
            for name in ("internal_ids", "external_ids", "heated_ids")}
@@ -96,12 +98,15 @@ def load_problems(path: Path):
             **{name: data[name][k] for name in MODEL_FIELDS}, dt=float(data["dt"][k]), **ids,
         )
         yield build_mpc_problem(model, data["T0"][k], data["forecast"][k],
-                                data["r_min"][k], data["r_max"][k], MpcConfig(**fields))
+                                data["r_min"][k], data["r_max"][k], MpcConfig(**fields),
+                                t=k * model.dt)
 
 
 def solve_all(src: Path, dst: Path) -> None:
     start = time.perf_counter()
-    solutions = [mpc.solve_mpc(problem) for problem in load_problems(src)]
+    solutions = []
+    for problem in load_problems(src):
+        solutions.append(mpc.solve_mpc(problem, solutions[-1] if solutions else None))
     elapsed = time.perf_counter() - start
     np.savez(dst, **solution_arrays(solutions))
     print(f"solved {len(solutions)} problems in {elapsed:.1f} s to {dst}")

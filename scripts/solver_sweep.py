@@ -11,8 +11,9 @@ the separation LPs, ``phase1``: their phase-one programs, told apart by the
 binding each is called through), ``energy``, the experiment start times and
 the trace's temperatures and heater commands. ``--out`` writes the records
 as JSON, which ``--compare`` reads two of: it prints fallbacks, stalled and
-non-optimal solves, total and worst iterations per solve kind on each side,
-the largest relative ``energy`` difference and the seeds where it exceeds
+non-optimal solves, total, mean and worst iterations per solve kind on each
+side, each seed's most SOCP iterations in one solve on both sides with the
+seeds where that grew, the largest relative ``energy`` difference and the seeds where it exceeds
 1e-6, the seeds whose experiment start times differ, and max |dT| and |du| over the traces. Solver changes
 report these figures; the script is not part of the test suite.
 """
@@ -121,9 +122,16 @@ def compare(path_a: Path, path_b: Path) -> None:
         print(f"  {key:<12} {ta[key]:>7} -> {tb[key]}")
     for kind in KINDS:
         x, y = ta[kind], tb[kind]
+        mean_x, mean_y = (t["iterations"] / max(t["solves"], 1) for t in (x, y))
         print(f"  {kind:<6} solves {x['solves']:>5} -> {y['solves']:<5}"
               f" iterations {x['iterations']:>6} -> {y['iterations']:<6}"
-              f" worst {x['worst']:>3} -> {y['worst']}")
+              f" mean {mean_x:6.2f} -> {mean_y:<6.2f} worst {x['worst']:>3} -> {y['worst']}")
+    most = {seed: tuple(max((it for _, it in r["seeds"][seed]["solves"]["socp"]), default=0)
+                        for r in (a, b)) for seed in a["seeds"]}
+    print("  socp most iterations per seed: "
+          + " ".join(f"{seed}:{x}->{y}" for seed, (x, y) in most.items()))
+    grew = [seed for seed, (x, y) in most.items() if y > x]
+    print(f"  seeds whose most socp iterations grew: {', '.join(grew) or 'none'}")
     energy_rel, dT, du, moved, apart = 0.0, 0.0, 0.0, [], []
     for seed, ra in a["seeds"].items():
         rb = b["seeds"][seed]

@@ -306,7 +306,7 @@ class SeparationProgram:
 
     G: np.ndarray
     d: np.ndarray
-    A: object
+    A: HorizonRows
     b: np.ndarray
     kkt: KktHook
     x0: Optional[np.ndarray]
@@ -324,19 +324,18 @@ def _separation_program(model, T0, forecast, r_min, r_max, u_budget, h_s, bound_
     # rows: 0 <= u <= 1, r_min <= G u + d <= r_max, sum(u) <= budget,
     # e_lo <= e <= e_hi, and e <= T over the first h_s steps
     iu, ie = np.arange(nu), nu + np.arange(ne)
-    rows = HorizonRows(G, n)
+    rows = HorizonRows(G, n, nu + ne)
     rows.unit(iu, -1.0, np.zeros(nu))
     rows.unit(iu, 1.0, np.ones(nu))
     rows.through_g(-1.0, d - r_min.reshape(-1))
     rows.through_g(1.0, r_max.reshape(-1) - d)
-    rows.add(np.ones(nu), iu, [nu], [u_budget])
+    rows.budget(u_budget)
     rows.unit(ie, -1.0, -e_lo.reshape(-1))
     rows.unit(ie, 1.0, e_hi.reshape(-1))
     rows.through_g(-1.0, d[:ne], ie, 1.0)
-    A, b = rows.csr(nu + ne)
     kkt = _separation_kkt(G, powers, ne)
-    x0 = find_strictly_feasible(A, b, kkt=kkt)
-    return SeparationProgram(G, d, A, b, kkt, x0, e_lo, e_hi)
+    x0 = find_strictly_feasible(rows, rows.b, kkt=kkt)
+    return SeparationProgram(G, d, rows, rows.b, kkt, x0, e_lo, e_hi)
 
 
 def _separation_kkt(G, powers, ne):

@@ -20,8 +20,8 @@ from scipy.linalg import cho_solve
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
-from .simulator import OccupancySchedule, WeatherModel, comfort_bounds, weather_forecast
-from .solver import ConeConstraint, ConicProgram, factor_newton, solve
+from .simulator import MINUTES_PER_DAY, OccupancySchedule, WeatherModel, weather_forecast
+from .solver import ConeConstraint, ConicProgram, RowOperator, factor_newton, solve
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,6 @@ def _condense(problem: MpcProblem):
     Returns the program, G, d and the groups of x and of the solver's rows
     (rows A x <= b, then the cones' rows) as ``_shifted`` takes them.
     """
-    # imported here, so that runs that never control by MPC do not load it
-    from scipy import sparse
-
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
@@ -164,7 +161,7 @@ def _condense(problem: MpcProblem):
     # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
     # T = G u + d
     iu, iw = np.arange(nu), np.arange(nw)
-    rows = HorizonRows(G, n)
+    rows = HorizonRows(G, n, nvar)
     rows.unit(iu, -1.0, np.zeros(nu), m)
     rows.unit(iu, 1.0, np.ones(nu), m)
     rows.unit(nu + iw, -1.0, np.zeros(nw), n)
@@ -177,7 +174,8 @@ def _condense(problem: MpcProblem):
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
 
     cones = []
-    F1 = sparse.csr_array((np.ones(nw), nu + iw, np.arange(nw + 1)), shape=(nw, nvar))
+    F1 = HorizonRows(G[:0, :0], n, nvar)           # the slacks w, no row through G
+    F1.unit(nu + iw, 1.0, np.zeros(nw))
     d1 = np.zeros(nvar)
     d1[nu + nw] = 1.0
     cones.append(ConeConstraint(F=F1, g=np.zeros(nw), d=d1))
@@ -194,9 +192,7 @@ def _condense(problem: MpcProblem):
         # pin the unused epigraph variable: 0 <= t2 <= 1
         rows.unit([nvar - 1], 1.0, [1.0])
         rows.unit([nvar - 1], -1.0, [0.0])
-    A, b = rows.csr(nvar)
-
-    prog = ConicProgram(c=c, A=A, b=b, cones=tuple(cones), kkt=_condensed_kkt(G, powers))
+    prog = ConicProgram(c=c, A=rows, b=rows.b, cones=tuple(cones), kkt=_condensed_kkt(G, powers))
     # the RMS cone's rows are (t1, w) and the terminal cone's, if any, are not
     # time-major: its tail is T(h) alone
     groups = ([(nu, m), (nw, n), (2, 0)],
@@ -204,54 +200,70 @@ def _condense(problem: MpcProblem):
     return prog, G, d, groups
 
 
-class HorizonRows:
-    """Rows A x <= b over x = (u, ...), collected group by group into one CSR array.
+class HorizonRows(RowOperator):
+    """Rows A x <= b over x = (u, ...), applied through G rather than stored.
 
-    The controls u enter rows through the predicted temperatures G u + d. A
-    row through G holds only the block lower-triangular part of its row of
-    G, the part that is not zero, and at most one more entry, for a variable
-    after u. ``groups`` holds (rows, rows per horizon step) for each group,
+    The controls u enter rows through the predicted temperatures G u + d, so
+    A = E [I; G 0], with the few entries of E kept as (row, column, value)
+    over x followed by G u: ``A @ x`` takes one product G u and ``A.T @ z``
+    one G' y. ``groups`` holds (rows, rows per horizon step) for each group,
     the second 0 where the group is not time-major.
     """
 
-    def __init__(self, G: np.ndarray, n: int):
-        nw, nu = G.shape
-        iu, iw = np.arange(nu), np.arange(nw)
-        lower = iu[None, :] // (nu * n // nw) <= iw[:, None] // n
-        self.g_val = G[lower]
-        self.g_col = np.broadcast_to(iu, lower.shape)[lower]
-        self.ends = np.cumsum(lower.sum(axis=1))
-        self.n = n
-        self.parts: list = []          # (data, indices, entries per row, b)
+    def __init__(self, G: np.ndarray, n: int, nvar: int):
+        self.G, self.n, self.shape = G, n, (0, nvar)
+        self.b = np.empty(0)
         self.groups: list = []
+        self.row, self.col, self.val = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
 
-    def add(self, data, indices, counts, b, stage: int = 0) -> None:
-        self.parts.append((data, indices, counts, b))
+    def _add(self, b, stage: int, rows, cols, vals) -> None:
+        """Rows b at the end, with the entries vals at (rows, cols), rows
+        counted from the first new one."""
+        self.row = np.append(self.row, self.shape[0] + np.asarray(rows, dtype=int))
+        self.col = np.append(self.col, np.asarray(cols, dtype=int))
+        self.val = np.append(self.val, vals)
+        self.b = np.append(self.b, b)
+        self.shape = (len(self.b), self.shape[1])
         self.groups.append((len(b), stage))
 
     def unit(self, cols, sign: float, b, stage: int = 0) -> None:
         """sign * x[col] <= b, one row per column, ``stage`` rows per step."""
-        self.add(np.full(len(cols), sign), cols, np.ones(len(cols), dtype=int), b, stage)
+        self._add(b, stage, np.arange(len(cols)), cols, np.full(len(cols), sign))
 
-    def through_g(self, sign: float, b, cols=None, coef: float = 0.0) -> None:
+    def through_g(self, sign: float, b, cols=(), coef: float = 0.0) -> None:
         """sign * (G u)_i + coef * x[cols[i]] <= b_i over the first len(b)
         rows of G; without ``cols`` the second term is left out."""
-        ends = self.ends[:len(b)]
-        data, indices = sign * self.g_val[:ends[-1]], self.g_col[:ends[-1]]
-        counts = np.diff(ends, prepend=0)
-        if cols is not None:
-            data, indices = np.insert(data, ends, coef), np.insert(indices, ends, cols)
-            counts = counts + 1
-        self.add(data, indices, counts, b, self.n)
+        i = np.arange(len(b))
+        self._add(b, self.n, np.append(i, i[:len(cols)]), np.append(self.shape[1] + i, cols),
+                  np.repeat([sign, coef], [len(i), len(cols)]))
 
-    def csr(self, nvar: int):
-        """(A, b) of the rows added so far, in the order they were added."""
-        # imported here, so that runs that never control by MPC do not load it
-        from scipy import sparse
+    def budget(self, b: float) -> None:
+        """sum(u) <= b, one row."""
+        nu = self.G.shape[1]
+        self._add([b], 0, np.zeros(nu), np.arange(nu), np.ones(nu))
 
-        data, indices, counts, b = (np.concatenate(part) for part in zip(*self.parts))
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return sparse.csr_array((data, indices, indptr), shape=(len(b), nvar)), b
+    def __matmul__(self, x):
+        xg = np.concatenate([x, self.G @ x[:self.G.shape[1]]])
+        return np.bincount(self.row, self.val * xg[self.col], minlength=self.shape[0])
+
+    def rmatvec(self, z):
+        nvar = self.shape[1]
+        y = np.bincount(self.col, self.val * z[self.row], minlength=nvar + len(self.G))
+        y[:self.G.shape[1]] += self.G.T @ y[nvar:]
+        return y[:nvar]
+
+    def row_max(self):
+        col_max = np.concatenate([np.ones(self.shape[1]), np.abs(self.G).max(axis=1, initial=0.0)])
+        out = np.zeros(self.shape[0])
+        np.maximum.at(out, self.row, np.abs(self.val) * col_max[self.col])
+        return out
+
+    def toarray(self):
+        nvar = self.shape[1]
+        E = np.zeros((self.shape[0], nvar + len(self.G)))
+        np.add.at(E, (self.row, self.col), self.val)
+        E[:, :self.G.shape[1]] += E[:, nvar:] @ self.G
+        return E[:, :nvar]
 
 
 def _weighted_gram(G: np.ndarray, powers: np.ndarray):
@@ -490,14 +502,14 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
 
 def horizon_bounds(sched: OccupancySchedule, t: float, h: int, dt: float,
                    n_zones: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scheduled comfort bounds for T(1..h) starting at time t."""
-    r_min = np.empty((h, n_zones))
-    r_max = np.empty((h, n_zones))
-    for k in range(1, h + 1):
-        lo, hi = comfort_bounds(sched, t + k * dt, n_zones)
-        r_min[k - 1] = lo
-        r_max[k - 1] = hi
-    return r_min, r_max
+    """Scheduled comfort bounds for T(1..h) starting at time t: the rule of
+    ``OccupancySchedule.is_occupied`` at once over the h step times."""
+    times = t + np.arange(1, h + 1) * dt
+    clock = times % MINUTES_PER_DAY
+    occupied = (np.isin(times // MINUTES_PER_DAY % 7, sched.occupied_days)
+                & (sched.occupied_start <= clock) & (clock < sched.occupied_end))[:, None]
+    return (np.where(occupied, sched.r_min_occ, sched.r_min_unocc).repeat(n_zones, axis=1),
+            np.where(occupied, sched.r_max_occ, sched.r_max_unocc).repeat(n_zones, axis=1))
 
 
 def mpc_step(

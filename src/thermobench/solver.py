@@ -14,11 +14,12 @@ may be primal/dual infeasible; both residuals are driven to zero along
 the way.
 
 Problem sizes here are desk scale (a few hundred variables). ``A`` may be a
-dense array or a ``scipy.sparse`` array; the cone rows ``F`` likewise. The
-dominant per-iteration cost is the reduced Newton system: by default it is
-assembled densely and factored by Cholesky, and callers whose constraints
-have structure can supply a ``kkt`` hook that factors it their own way, in
-the style of CVXOPT's ``kktsolver``.
+dense array or a ``RowOperator``, which applies structured rows without
+storing them; the cone rows ``F`` likewise. The dominant per-iteration cost
+is the reduced Newton system: by default it is assembled densely and
+factored by Cholesky, and callers whose constraints have structure can
+supply a ``kkt`` hook that factors it their own way, in the style of
+CVXOPT's ``kktsolver``.
 """
 
 from __future__ import annotations
@@ -49,10 +50,29 @@ class ConeConstraint:
         return float(np.linalg.norm(y) - s)
 
 
+class RowOperator:
+    """Constraint rows applied rather than stored, as CVXOPT's cone solvers
+    take G as a function. A subclass gives ``shape``, ``A @ x``,
+    ``rmatvec(z)`` = A' z, ``row_max()`` (each row's largest magnitude) and
+    ``toarray()``, the dense reference; ``A.T @ z`` calls ``rmatvec``."""
+
+    @property
+    def T(self):
+        return _Adjoint(self)
+
+
+class _Adjoint:
+    def __init__(self, rows: RowOperator):
+        self.rows = rows
+
+    def __matmul__(self, z):
+        return self.rows.rmatvec(z)
+
+
 @dataclass(frozen=True)
 class ConicProgram:
     c: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | RowOperator
     b: np.ndarray
     cones: tuple[ConeConstraint, ...] = ()
     # optional structured Newton solver, see ``KktHook``; None assembles the
@@ -69,8 +89,9 @@ class ConicProgram:
 # with wts one weight per row of ``A`` and scalings[k] = (beta, v) the
 # Nesterov-Todd scaling W_k = beta (2 v v' - J) of cone k. ``solve(r)``
 # returns M^-1 r and ``apply(x)`` returns M x; the solver refines once with
-# the residual r - apply(solve(r)). Factor through ``factor_newton`` so the
-# regularization and its failure are the solver's.
+# the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor
+# through ``factor_newton`` so the regularization and its failure are the
+# solver's.
 KktHook = Callable[
     [np.ndarray, list[tuple[float, np.ndarray]]],
     tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
@@ -98,15 +119,16 @@ def factor_newton(M: np.ndarray):
 
 def dense_kkt(prob: "ConicProgram") -> KktHook:
     """The reference hook: the reduced Newton matrix assembled densely."""
-    A = prob.A.toarray() if _is_sparse(prob.A) else prob.A
-    gram = [np.outer(cone.d, cone.d) + cone.F.T @ cone.F for cone in prob.cones]
+    A = _dense(prob.A)
+    rows = [(cone.d, _dense(cone.F)) for cone in prob.cones]
+    gram = [np.outer(d, d) + F.T @ F for d, F in rows]
 
     def kkt(wts, scalings):
         M = A.T @ (wts[:, None] * A)
-        for cone, GtG, (beta, v) in zip(prob.cones, gram, scalings):
+        for (d, F), GtG, (beta, v) in zip(rows, gram, scalings):
             # W^-2 = (I + 4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / beta^2
-            Gt_Jv = cone.d * v[0] - cone.F.T @ v[1:]
-            Gt_v = cone.d * v[0] + cone.F.T @ v[1:]
+            Gt_Jv = d * v[0] - F.T @ v[1:]
+            Gt_v = d * v[0] + F.T @ v[1:]
             M += (
                 GtG
                 + 4.0 * float(v @ v) * np.outer(Gt_Jv, Gt_Jv)
@@ -130,6 +152,7 @@ class Solution:
     dual_residual: float
     primal_residual: float
     max_violation: float
+    refinements: int = 0   # Newton solves refined by a second solve with the factor
 
     @property
     def optimal(self) -> bool:
@@ -314,11 +337,10 @@ def solve(
     c = np.asarray(prob.c, dtype=float)
     m = prob.A.shape[0]
     # G x + s = h with the linear rows, then each cone's rows -[d'; F] and
-    # h = [e; g]: one forward and one transposed product per use; the linear
-    # rows are equilibrated, which keeps their multipliers commensurate
-    G = _stack([prob.A] + [rows for cone in prob.cones for rows in (-cone.d[None, :], -cone.F)])
-    row_scale = _equilibrate(G, m)
-    Gt = G.T
+    # h = [e; g]; the linear rows are equilibrated, which keeps their
+    # multipliers commensurate
+    row_scale = _equilibrate(prob.A)
+    G, Gt = _stack(prob.A, row_scale, prob.cones)
     h = np.concatenate([prob.b * row_scale]
                        + [np.concatenate([[cone.e], cone.g]) for cone in prob.cones])
     cones = _Cones(m, [1 + cone.F.shape[0] for cone in prob.cones])
@@ -334,9 +356,9 @@ def solve(
         # matrix at unit weights and identity scalings
         cones.scale(cones.unit, cones.unit)            # W = I at s = z = e
         solve0, _ = kkt(sq, cones.scalings())
-        x = solve0(Gt @ h)
-        s = cones.shift_inside(h - G @ x)
-        z = cones.shift_inside(G @ solve0(-c))
+        x = solve0(Gt(h))
+        s = cones.shift_inside(h - G(x))
+        z = cones.shift_inside(G(solve0(-c)))
     else:
         x, s, z = (np.array(v, dtype=float) for v in start)
         s[:m] *= row_scale
@@ -347,7 +369,7 @@ def solve(
         mu, centred = 0.0, (s, z)
         for _ in range(2):
             s_c, z_c = centred
-            mu = max(mu, _start_mu(G @ x + s_c - h, c + Gt @ z_c, s_c @ z_c, c @ x,
+            mu = max(mu, _start_mu(G(x) + s_c - h, c + Gt(z_c), s_c @ z_c, c @ x,
                                    scale_p, scale_d, cones.degree, tol))
             centred = cones.centre(s, z, mu)
         s, z = centred
@@ -355,14 +377,14 @@ def solve(
     status = "max_iter"
     best_progress = np.inf
     since_improved = 0
-    it = 0
+    it = refinements = 0
     # the iterate closest to the stopping test: its largest measure relative
     # to its scale, with x, s, z, gap, primal and dual residual
     best = (np.inf, x, s, z, np.inf, np.inf, np.inf)
 
     for it in range(1, max_iter + 1):
-        rx = c + Gt @ z
-        rz = G @ x + s - h
+        rx = c + Gt(z)
+        rz = G(x) + s - h
         gap = float(s @ z)
         pres = float(np.linalg.norm(rz))
         dres = float(np.linalg.norm(rx))
@@ -398,13 +420,18 @@ def solve(
             Eliminations: ds = W d_c - W^2 dz with d_c = lambda^-1 o tgt, and
             dz = W^-2 (G dx + rz + W d_c), leaving G' W^-2 G dx = rhs.
             """
+            nonlocal refinements
             w_dc = cones.w(cones.ldiv(lam, tgt))
-            rhs = -rx - Gt @ cones.winv(cones.winv(rz + w_dc))
+            rhs = -rx - Gt(cones.winv(cones.winv(rz + w_dc)))
             dx = kkt_solve(rhs)
-            # one pass of iterative refinement: near the boundary the W^-2
-            # recovery of dz amplifies factorization error in dx
-            dx += kkt_solve(rhs - kkt_apply(dx))
-            dz = cones.winv(cones.winv(G @ dx + rz + w_dc))
+            # one pass of iterative refinement where the residual shows
+            # factorization error: near the boundary the W^-2 recovery of dz
+            # amplifies it
+            res = rhs - kkt_apply(dx)
+            if np.linalg.norm(res) > 1e-10 * np.linalg.norm(rhs):
+                dx += kkt_solve(res)
+                refinements += 1
+            dz = cones.winv(cones.winv(G(dx) + rz + w_dc))
             return dx, w_dc - cones.w(cones.w(dz)), dz
 
         def max_step(ds, dz):
@@ -466,6 +493,7 @@ def solve(
         dual_residual=dres,
         primal_residual=pres,
         max_violation=viol,
+        refinements=refinements,
     )
 
 
@@ -487,39 +515,44 @@ def _start_mu(rz, rx, gap, cost, scale_p, scale_d, degree, tol) -> float:
     return max(resid * (1.0 + abs(float(cost))), float(gap)) / degree
 
 
-def _is_sparse(M) -> bool:
-    """A ``scipy.sparse`` array, told apart without importing scipy.sparse."""
-    return hasattr(M, "tocsr")
+def _dense(M) -> np.ndarray:
+    """M as an array: an array itself, or a ``RowOperator``'s ``toarray()``."""
+    return M.toarray() if isinstance(M, RowOperator) else M
 
 
-def _stack(blocks):
-    """Row blocks stacked into a new matrix: CSR when any block is sparse."""
-    if any(_is_sparse(block) for block in blocks):
-        # loaded already by whoever built the sparse block
-        from scipy import sparse
+def _stack(A, scale: np.ndarray, cones):
+    """(G x, G' z) as functions, for G = [diag(scale) A; -d_1'; -F_1; ...]:
+    the rows of A, each multiplied by its ``scale``, then each cone's rows."""
+    m = A.shape[0]
+    ends = m + np.cumsum([1 + cone.F.shape[0] for cone in cones], dtype=int)
+    heads = np.concatenate([[m], ends[:-1]]).astype(int)
 
-        return sparse.vstack([sparse.csr_array(block) for block in blocks], format="csr")
-    return np.vstack(blocks)
+    def apply(x):
+        out = np.empty(ends[-1] if cones else m)
+        out[:m] = scale * (A @ x)
+        for cone, at, end in zip(cones, heads, ends):
+            out[at] = -(cone.d @ x)
+            out[at + 1:end] = -(cone.F @ x)
+        return out
+
+    def apply_t(z):
+        out = A.T @ (scale * z[:m])
+        for cone, at, end in zip(cones, heads, ends):
+            out -= cone.d * z[at] + cone.F.T @ z[at + 1:end]
+        return out
+
+    return apply, apply_t
 
 
-def _equilibrate(G, m: int) -> np.ndarray:
-    """Divide each of the first m rows of G, in place, by its largest
-    magnitude when that exceeds 1; returns the m row factors."""
-    if _is_sparse(G):
-        counts = np.diff(G.indptr)
-        row_max = np.zeros(G.shape[0])
-        filled = counts > 0
-        if G.nnz:
-            row_max[filled] = np.maximum.reduceat(np.abs(G.data), G.indptr[:-1][filled])
-    else:
-        row_max = np.abs(G).max(axis=1, initial=0.0)
-    scale = np.ones(G.shape[0])
-    scale[:m] = 1.0 / np.maximum(row_max[:m], 1.0)
-    if _is_sparse(G):
-        G.data *= np.repeat(scale, counts)
-    else:
-        G *= scale[:, None]
-    return scale[:m]
+def _row_max(A) -> np.ndarray:
+    """The largest magnitude in each row of A."""
+    return A.row_max() if isinstance(A, RowOperator) else np.abs(A).max(axis=1, initial=0.0)
+
+
+def _equilibrate(A) -> np.ndarray:
+    """Row factors of A: one over each row's largest magnitude where that
+    exceeds 1, else 1."""
+    return 1.0 / np.maximum(_row_max(A), 1.0)
 
 
 def find_strictly_feasible(
@@ -534,7 +567,7 @@ def find_strictly_feasible(
 
     Minimizes the worst violation s subject to A x - s <= b and s >= -1.
     Returns the found point when the optimum is clearly negative, else None.
-    ``A`` may be dense or ``scipy.sparse``; ``kkt`` is the Newton hook of a
+    ``A`` is an array or a ``RowOperator``; ``kkt`` is the Newton hook of a
     program with the rows A x <= b, which the phase-one program borders
     (``phase_one``).
     """
@@ -566,14 +599,6 @@ def phase_one(A, b: np.ndarray, kkt: Optional[KktHook] = None) -> ConicProgram:
     sigma - a' M^-1 a.
     """
     m, n = A.shape
-    blocks = [[A, -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]]
-    if _is_sparse(A):
-        # loaded already by whoever built the sparse rows
-        from scipy import sparse
-
-        A1 = sparse.bmat(blocks, format="csr")
-    else:
-        A1 = np.block(blocks)
     base = kkt if kkt is not None else dense_kkt(ConicProgram(c=np.zeros(n), A=A, b=b))
 
     def bordered(wts, scalings):
@@ -595,4 +620,25 @@ def phase_one(A, b: np.ndarray, kkt: Optional[KktHook] = None) -> ConicProgram:
 
     c1 = np.zeros(n + 1)
     c1[-1] = 1.0
-    return ConicProgram(c=c1, A=A1, b=np.append(b, 1.0), kkt=bordered)
+    return ConicProgram(c=c1, A=_Bordered(A), b=np.append(b, 1.0), kkt=bordered)
+
+
+class _Bordered(RowOperator):
+    """The phase-one rows [A, -1; 0, -1] over (x, s)."""
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = (A.shape[0] + 1, A.shape[1] + 1)
+
+    def __matmul__(self, xs):
+        return np.append(self.A @ xs[:-1] - xs[-1], -xs[-1])
+
+    def rmatvec(self, z):
+        return np.append(self.A.T @ z[:-1], -z.sum())
+
+    def row_max(self):
+        return np.append(np.maximum(_row_max(self.A), 1.0), 1.0)
+
+    def toarray(self):
+        m, n = self.A.shape
+        return np.block([[_dense(self.A), -np.ones((m, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])

@@ -394,6 +394,35 @@ def test_separation_hooks_match_dense(h, heaters):
             assert np.linalg.norm(apply(x) - apply_dense(x)) <= 1e-10 * np.linalg.norm(apply_dense(x))
 
 
+@pytest.mark.parametrize("heaters", [2, 1])
+@pytest.mark.parametrize("h", [4, 32, 96])
+def test_separation_rows_match_dense(h, heaters):
+    """The separation LP's rows, applied through G, against the matrix
+    written out here from their definition: -u <= 0, u <= 1,
+    -(G u) <= d - r_min, G u <= r_max - d, sum(u) <= budget, -e <= -e_lo,
+    e <= e_hi and e - G_s u <= d_s, G_s being the first h_s*n rows of G; and
+    the phase-one rows bordered by the column -1 and the row -s <= 1."""
+    rng = np.random.default_rng(h + heaters)
+    model = table1_model() if heaters == 2 else single_heater_model()[1]
+    program, _ = separation_setup(model, h, 1 if h < 32 else 8)
+    G = program.G
+    nw, nu = G.shape
+    ne = program.e_lo.size
+    I_u, I_e = np.eye(nu, nu + ne), np.eye(ne, nu + ne, nu)
+    G_x = np.hstack([G, np.zeros((nw, ne))])
+    budget = np.concatenate([np.ones(nu), np.zeros(ne)])
+    D = np.vstack([-I_u, I_u, -G_x, G_x, budget, -I_e, I_e, I_e - G_x[:ne]])
+    np.testing.assert_array_equal(program.A.toarray(), D)
+    np.testing.assert_array_equal(program.A.row_max(), np.abs(D).max(axis=1))
+    m = len(D)
+    D1 = np.block([[D, -np.ones((m, 1))], [np.zeros((1, nu + ne)), -np.ones((1, 1))]])
+    for rows, ref in ((program.A, D), (phase_one(program.A, program.b).A, D1)):
+        for _ in range(3):
+            x, z = rng.normal(size=ref.shape[1]), rng.normal(size=ref.shape[0])
+            assert np.linalg.norm(rows @ x - ref @ x) <= 1e-13 * np.linalg.norm(ref @ x)
+            assert np.linalg.norm(rows.T @ z - ref.T @ z) <= 1e-13 * np.linalg.norm(ref.T @ z)
+
+
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize("case", [("pair", (1, 2)), ("single", (1,))])
 def test_separation_lp_matches_highs(case, direction):
@@ -405,7 +434,7 @@ def test_separation_lp_matches_highs(case, direction):
     v = _separation_weights(case, direction, [1, 2], 1, 96)
     c = np.zeros(program.A.shape[1])
     c[:program.G.shape[1]] = -(program.G.T @ v)
-    ref = linprog(c, A_ub=program.A, b_ub=program.b, bounds=(None, None), method="highs")
+    ref = linprog(c, A_ub=program.A.toarray(), b_ub=program.b, bounds=(None, None), method="highs")
     assert ref.success
     start = _separation_start(program, v)
     assert np.allclose(c + program.A.T @ start[2], 0.0) and np.all(start[1] > 0)

@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.optimize import minimize
 
 from thermobench import mpc as mpc_module
 from thermobench.errors import ValidationError
 from thermobench.harness import ScenarioConfig, run_scenario
 from thermobench.mpc import (
+    HorizonRows,
     MpcConfig,
     _closed_form_cost,
     _condense,
@@ -30,7 +30,7 @@ from thermobench.network import (
     two_zone_example,
 )
 from thermobench.presets import comparison_weather
-from thermobench.simulator import OccupancySchedule, WeatherModel, weather_forecast
+from thermobench.simulator import OccupancySchedule, WeatherModel, comfort_bounds, weather_forecast
 from thermobench.solver import dense_kkt
 
 
@@ -104,7 +104,8 @@ def test_structured_kkt_matches_dense():
                 beta = rng.uniform(0.3, 3.0)
                 J = np.diag(np.concatenate([[1.0], -np.ones(len(v1))]))
                 W_inv = np.linalg.inv(beta * (2.0 * np.outer(v, v) - J))
-                C = np.vstack([cone.d, sparse.csr_array(cone.F).toarray()])
+                F = cone.F.toarray() if isinstance(cone.F, HorizonRows) else cone.F
+                C = np.vstack([cone.d, F])
                 M += C.T @ W_inv @ W_inv @ C
                 scalings.append((beta, v))
             r = rng.normal(size=prog.n)
@@ -114,6 +115,77 @@ def test_structured_kkt_matches_dense():
                 assert np.linalg.norm(solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
                 scale = np.linalg.norm(M) * np.linalg.norm(ref)
                 assert np.linalg.norm(apply(ref) - M @ ref) <= 1e-13 * scale
+
+
+def operator_error(rows, D, rng):
+    """Largest relative error of ``rows @ x`` and ``rows.T @ z`` against the
+    dense matrix D, over three random x and z."""
+    worst = 0.0
+    for _ in range(3):
+        x, z = rng.normal(size=D.shape[1]), rng.normal(size=D.shape[0])
+        for got, ref in ((rows @ x, D @ x), (rows.T @ z, D.T @ z)):
+            worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+    return worst
+
+
+@pytest.mark.parametrize("q_togo", [1.0, 0.0])
+@pytest.mark.parametrize("dt", [15.0, 30.0])
+@pytest.mark.parametrize("h", [1, 2, 12, 96])
+def test_horizon_rows_match_dense(h, dt, q_togo):
+    """The condensed program's rows, applied through G, against the matrix
+    written out here from their definition: -u <= 0, u <= 1, -w <= 0,
+    -(G u) - w <= d - r_min, G u - w <= r_max - d, and with Q_togo = 0 the
+    pinned t2 rows; likewise the RMS cone's rows, which select w."""
+    rng = np.random.default_rng(h)
+    r_min, r_max = flat_bounds(h, 2)
+    cfg = MpcConfig(horizon=h, Q_togo=q_togo)
+    problem = build_mpc_problem(table1_model(dt), np.array([66.0, 71.0]),
+                                rng.uniform(10.0, 50.0, size=h), r_min, r_max, cfg)
+    prog, G, d, _ = _condense(problem)
+    nw, nu = G.shape
+    nvar = nu + nw + 2
+    I_u, I_w = np.eye(nu, nvar), np.eye(nw, nvar, nu)
+    G_x = np.hstack([G, np.zeros((nw, nvar - nu))])
+    D = [-I_u, I_u, -I_w, -G_x - I_w, G_x - I_w]
+    b = [np.zeros(nu), np.ones(nu), np.zeros(nw), d - r_min.ravel(), r_max.ravel() - d]
+    if q_togo == 0:
+        t2 = np.eye(1, nvar, nvar - 1)
+        D += [t2, -t2]
+        b += [[1.0], [0.0]]
+    D = np.vstack(D)
+    np.testing.assert_array_equal(prog.b, np.concatenate(b))
+    np.testing.assert_array_equal(prog.A.toarray(), D)
+    np.testing.assert_array_equal(prog.A.row_max(), np.abs(D).max(axis=1))
+    assert operator_error(prog.A, D, rng) <= 1e-13
+    assert operator_error(prog.cones[0].F, I_w, rng) <= 1e-13
+
+
+@pytest.mark.parametrize("sched", [
+    OccupancySchedule(),
+    OccupancySchedule(occupied_days=(0, 2, 6), occupied_start=450.0, occupied_end=1035.0),
+])
+def test_horizon_bounds_match_per_step_loop(sched):
+    """The bounds evaluated at once over the step times equal those of one
+    ``comfort_bounds`` call per step, bit for bit: from every 15-minute start
+    of a week, and with the first step time exactly at each switch instant of
+    the week (occupancy start, end, midnight) and at the ulp before it."""
+    h, dt = 96, 15.0
+
+    def per_step(t):
+        rows = [comfort_bounds(sched, t + k * dt, 2) for k in range(1, h + 1)]
+        return np.array([lo for lo, _ in rows]), np.array([hi for _, hi in rows])
+
+    starts = list(np.arange(0.0, 7 * 1440.0, dt))
+    switches = [day * 1440.0 + clock for day in range(7)
+                for clock in (sched.occupied_start, sched.occupied_end, 1440.0)]
+    for switch in switches:
+        for first in (switch, np.nextafter(switch, -np.inf)):
+            t = first - dt
+            assert t + dt == first
+            starts.append(t)
+    for t in starts:
+        for got, ref in zip(horizon_bounds(sched, t, h, dt, 2), per_step(t)):
+            np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("dt", [15.0, 30.0])

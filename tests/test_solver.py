@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.optimize import linprog
 
 from thermobench.errors import SolverFailure
+from thermobench.mpc import HorizonRows
 from thermobench.solver import (
     ConeConstraint,
     ConicProgram,
+    dense_kkt,
     find_strictly_feasible,
     solve,
 )
@@ -118,8 +119,9 @@ def test_find_strictly_feasible_negative_case():
     assert find_strictly_feasible(A, b) is None
 
 
-def test_find_strictly_feasible_sparse_rows():
-    # the random rows of test_random_lps_match_linprog, dense and CSR: the
+def test_find_strictly_feasible_operator_rows():
+    # the random rows of test_random_lps_match_linprog, as an array and as a
+    # row operator (rows through G = A_extra, then the box as unit rows): the
     # same phase-one point
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -130,10 +132,63 @@ def test_find_strictly_feasible_sparse_rows():
         A_box, b_box = box_rows(n, -5.0, 5.0)
         A = np.vstack([A_extra, A_box])
         b = np.concatenate([b_extra, b_box])
+        rows = HorizonRows(A_extra, 1, n)
+        rows.through_g(1.0, b_extra)
+        rows.unit(np.arange(n), -1.0, b_box[:n])
+        rows.unit(np.arange(n), 1.0, b_box[n:])
+        np.testing.assert_array_equal(rows.toarray(), A)
         x_dense = find_strictly_feasible(A, b)
-        x_csr = find_strictly_feasible(sparse.csr_array(A), b)
-        assert x_dense is not None and x_csr is not None
-        assert np.max(np.abs(x_csr - x_dense)) <= 1e-12 * (1.0 + np.max(np.abs(x_dense)))
+        x_rows = find_strictly_feasible(rows, rows.b)
+        assert x_dense is not None and x_rows is not None
+        assert np.max(np.abs(x_rows - x_dense)) <= 1e-12 * (1.0 + np.max(np.abs(x_dense)))
+
+
+def counted_hook(prob, noise=0.0):
+    """``dense_kkt`` of prob with its solve and apply calls counted, the
+    solve perturbed by ``noise`` relative along a fixed direction."""
+    calls = {"solve": 0, "apply": 0}
+    q = np.random.default_rng(0).normal(size=prob.n)
+    q /= np.linalg.norm(q)
+    exact = dense_kkt(prob)
+
+    def kkt(wts, scalings):
+        solve_exact, apply = exact(wts, scalings)
+
+        def solve_counted(r):
+            calls["solve"] += 1
+            x = solve_exact(r)
+            return x + noise * np.linalg.norm(x) * q
+
+        def apply_counted(x):
+            calls["apply"] += 1
+            return apply(x)
+
+        return solve_counted, apply_counted
+
+    return kkt, calls
+
+
+def test_newton_refines_only_on_demand():
+    """Each Newton solve applies the hook once to check its residual, and
+    solves a second time only when that residual exceeds 1e-10 of the right
+    side: never with an exact factor, always with one whose solves are off by
+    1e-6, whose refined direction is still exact to rounding. Two iterations
+    from one start, with either hook, end at the same iterate."""
+    A, b = box_rows(3, 0.0, 1.0)
+    A = np.vstack([A, np.ones((1, 3))])
+    b = np.append(b, 2.0)
+    base = ConicProgram(c=np.array([1.0, -2.0, 0.5]), A=A, b=b)
+    start = primal_start(base, np.array([0.3, 0.4, 0.2]))
+    ends = []
+    for noise in (0.0, 1e-6):
+        kkt, calls = counted_hook(base, noise)
+        sol = solve(ConicProgram(c=base.c, A=A, b=b, kkt=kkt), start, max_iter=2)
+        newton = calls["apply"]
+        assert newton >= 4
+        assert sol.refinements == (0 if noise == 0 else newton)
+        assert calls["solve"] == newton + sol.refinements
+        ends.append(sol.x)
+    assert np.linalg.norm(ends[1] - ends[0]) <= 1e-10 * np.linalg.norm(ends[0])
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -524,11 +524,12 @@ def _stack(A, scale: np.ndarray, cones):
     """(G x, G' z) as functions, for G = [diag(scale) A; -d_1'; -F_1; ...]:
     the rows of A, each multiplied by its ``scale``, then each cone's rows."""
     m = A.shape[0]
-    ends = m + np.cumsum([1 + cone.F.shape[0] for cone in cones], dtype=int)
-    heads = np.concatenate([[m], ends[:-1]]).astype(int)
+    sizes = [1 + cone.F.shape[0] for cone in cones]
+    ends = m + np.cumsum(sizes, dtype=int)
+    heads = ends - sizes
 
     def apply(x):
-        out = np.empty(ends[-1] if cones else m)
+        out = np.empty(m + sum(sizes))
         out[:m] = scale * (A @ x)
         for cone, at, end in zip(cones, heads, ends):
             out[at] = -(cone.d @ x)

@@ -5,17 +5,20 @@
 
 Runs ``run_scenario`` on the configs of a perfbench workload (``online``,
 ``mpc-week``; 52 steps each) for each seed, and records per seed: the
-thermostat fallbacks (``mpc-failure`` events), the status and IPM
-iterations of every solver call by kind (``socp``: the MPC programs, ``lp``:
-the separation LPs, ``phase1``: their phase-one programs, told apart by the
-binding each is called through), ``energy``, the experiment start times and
-the trace's temperatures and heater commands. ``--out`` writes the records
-as JSON, which ``--compare`` reads two of: it prints fallbacks, stalled and
-non-optimal solves, total, mean and worst iterations per solve kind on each
-side, each seed's most SOCP iterations in one solve on both sides with the
-seeds where that grew, the largest relative ``energy`` difference and the seeds where it exceeds
-1e-6, the seeds whose experiment start times differ, and max |dT| and |du| over the traces. Solver changes
-report these figures; the script is not part of the test suite.
+thermostat fallbacks (``mpc-failure`` events), the status, IPM iterations
+and refined Newton solves of every solver call by kind (``socp``: the MPC
+programs, ``lp``: the separation LPs, ``phase1``: their phase-one programs,
+told apart by the binding each is called through), ``energy``, the
+experiment start times and the trace's temperatures and heater commands.
+``--out`` writes the records as JSON, which ``--compare`` reads two of: it
+prints fallbacks, stalled and non-optimal solves, total, mean and worst
+iterations and refined Newton solves per solve (n/a for records written
+before ``Solution.refinements``) per solve kind on each side, each seed's
+most SOCP iterations in one solve on both sides with the seeds where that
+grew, the largest relative ``energy`` difference and the seeds where it
+exceeds 1e-6, the seeds whose experiment start times differ, and max |dT|
+and |du| over the traces. Solver changes report these figures; the script
+is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def sweep_one(workload: str, seed: int) -> dict:
     def recording(kind, fn):
         def wrapped(*args, **kwargs):
             sol = fn(*args, **kwargs)
-            solves[kind].append((sol.status, sol.iterations))
+            solves[kind].append((sol.status, sol.iterations, sol.refinements))
             return sol
         return wrapped
 
@@ -95,16 +98,17 @@ def totals(record: dict) -> dict:
     """Counts over the seeds of one record."""
     out = {"fallbacks": 0, "stalled": 0, "not_optimal": 0}
     for kind in KINDS:
-        out[kind] = {"solves": 0, "iterations": 0, "worst": 0}
+        out[kind] = {"solves": 0, "iterations": 0, "worst": 0, "refinements": 0}
     for run in record["seeds"].values():
         out["fallbacks"] += run["fallbacks"]
         for kind, calls in run["solves"].items():
-            for status, iterations in calls:
+            for status, iterations, *refinements in calls:
                 out["stalled"] += status == "stalled"
                 out["not_optimal"] += status != "optimal"
                 out[kind]["solves"] += 1
                 out[kind]["iterations"] += iterations
                 out[kind]["worst"] = max(out[kind]["worst"], iterations)
+                out[kind]["refinements"] += refinements[0] if refinements else np.nan
     return out
 
 
@@ -123,10 +127,13 @@ def compare(path_a: Path, path_b: Path) -> None:
     for kind in KINDS:
         x, y = ta[kind], tb[kind]
         mean_x, mean_y = (t["iterations"] / max(t["solves"], 1) for t in (x, y))
+        ref_x, ref_y = ("n/a" if np.isnan(t["refinements"]) else f"{t['refinements'] / max(t['solves'], 1):.2f}"
+                        for t in (x, y))
         print(f"  {kind:<6} solves {x['solves']:>5} -> {y['solves']:<5}"
               f" iterations {x['iterations']:>6} -> {y['iterations']:<6}"
-              f" mean {mean_x:6.2f} -> {mean_y:<6.2f} worst {x['worst']:>3} -> {y['worst']}")
-    most = {seed: tuple(max((it for _, it in r["seeds"][seed]["solves"]["socp"]), default=0)
+              f" mean {mean_x:6.2f} -> {mean_y:<6.2f} worst {x['worst']:>3} -> {y['worst']:<3}"
+              f" refinements per solve {ref_x} -> {ref_y}")
+    most = {seed: tuple(max((call[1] for call in r["seeds"][seed]["solves"]["socp"]), default=0)
                         for r in (a, b)) for seed in a["seeds"]}
     print("  socp most iterations per seed: "
           + " ".join(f"{seed}:{x}->{y}" for seed, (x, y) in most.items()))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ValidationError
 from .mpc import HorizonRows, MpcSolution, _weighted_gram, prediction_matrices
@@ -353,8 +352,8 @@ def _separation_kkt(G, powers, ne):
     nw, nu = G.shape
     G_s = G[:ne]
     gram = _weighted_gram(G, powers)
-    diag_u = np.arange(nu)
     S = np.empty((nu, nu))
+    diag_u = np.einsum("ii->i", S)
 
     def kkt(wts, scalings):
         w12 = wts[:nu] + wts[nu:2 * nu]
@@ -367,12 +366,12 @@ def _separation_kkt(G, powers, ne):
         alpha[:ne] += w8 * w67 * inv_e
         gram(S, alpha)
         S[:] += w5
-        S[diag_u, diag_u] += w12
-        factor = factor_newton(S)
+        diag_u[:] += w12
+        solve_s = factor_newton(S)
 
         def solve_kkt(r):
             r_e = r[nu:]
-            u = cho_solve(factor, r[:nu] + G_s.T @ (w8 * inv_e * r_e), check_finite=False)
+            u = solve_s(r[:nu] + G_s.T @ (w8 * inv_e * r_e))
             return np.concatenate([u, (r_e + w8 * (G_s @ u)) * inv_e])
 
         def apply(x):

@@ -16,12 +16,12 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyr
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
 from .simulator import MINUTES_PER_DAY, OccupancySchedule, WeatherModel, weather_forecast
-from .solver import ConeConstraint, ConicProgram, RowOperator, factor_newton, solve
+from .solver import ConicProgram, RowOperator, factor_newton, solve
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def _condense(problem: MpcProblem):
     u are the controls, w the band slacks, t1 the epigraph of the slack RMS
     cone ||w|| <= t1 and t2 that of the terminal cone ||T(h) - r(h)|| <= t2.
     Returns the program, G, d and the groups of x and of the solver's rows
-    (rows A x <= b, then the cones' rows) as ``_shifted`` takes them.
+    (the linear rows, then the cones' rows) as ``_shifted`` takes them.
     """
     cfg = problem.config
     h = cfg.horizon
@@ -167,41 +167,33 @@ def _condense(problem: MpcProblem):
     rows.unit(nu + iw, -1.0, np.zeros(nw), n)
     rows.through_g(-1.0, d - r_min, nu + iw, -1.0)
     rows.through_g(1.0, r_max - d, nu + iw, -1.0)
+    if cfg.Q_togo == 0:
+        # a zero-cost epigraph variable would make the problem degenerate,
+        # so the terminal cone exists only when its weight does; without it
+        # the unused t2 is pinned: 0 <= t2 <= 1
+        rows.unit([nvar - 1], 1.0, [1.0])
+        rows.unit([nvar - 1], -1.0, [0.0])
+
+    # the cones' rows, head first: the RMS cone's (t1, w), then the terminal
+    # cone's (t2, T(h) - r(h))
+    rows.unit([nu + nw], -1.0, [0.0])
+    rows.unit(nu + iw, -1.0, np.zeros(nw), n)
+    cones = (1 + nw,)
+    if cfg.Q_togo > 0:
+        rows.unit([nvar - 1], -1.0, [0.0])
+        rows.through_g(-1.0, d[-n:] - problem.r[-1], start=nw - n)
+        cones += (1 + n,)
 
     c = np.zeros(nvar)
     c[:nu] = cfg.R
     c[nu + nw] = cfg.Q / np.sqrt(n * h)
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
-
-    cones = []
-    F1 = HorizonRows(G[:0, :0], n, nvar)           # the slacks w, no row through G
-    F1.unit(nu + iw, 1.0, np.zeros(nw))
-    d1 = np.zeros(nvar)
-    d1[nu + nw] = 1.0
-    cones.append(ConeConstraint(F=F1, g=np.zeros(nw), d=d1))
-
-    if cfg.Q_togo > 0:
-        # a zero-cost epigraph variable would make the problem degenerate,
-        # so the terminal cone exists only when its weight does
-        F2 = np.zeros((n, nvar))
-        F2[:, :nu] = G[(h - 1) * n:, :]
-        d2 = np.zeros(nvar)
-        d2[nu + nw + 1] = 1.0
-        cones.append(ConeConstraint(F=F2, g=d[(h - 1) * n:] - problem.r[-1], d=d2))
-    else:
-        # pin the unused epigraph variable: 0 <= t2 <= 1
-        rows.unit([nvar - 1], 1.0, [1.0])
-        rows.unit([nvar - 1], -1.0, [0.0])
-    prog = ConicProgram(c=c, A=rows, b=rows.b, cones=tuple(cones), kkt=_condensed_kkt(G, powers))
-    # the RMS cone's rows are (t1, w) and the terminal cone's, if any, are not
-    # time-major: its tail is T(h) alone
-    groups = ([(nu, m), (nw, n), (2, 0)],
-              rows.groups + [(1, 0), (nw, n)] + [(1 + n, 0)] * (len(cones) - 1))
-    return prog, G, d, groups
+    prog = ConicProgram(c=c, A=rows, b=rows.b, cones=cones, kkt=_condensed_kkt(G, powers))
+    return prog, G, d, ([(nu, m), (nw, n), (2, 0)], rows.groups)
 
 
 class HorizonRows(RowOperator):
-    """Rows A x <= b over x = (u, ...), applied through G rather than stored.
+    """Rows A x + s = b over x = (u, ...), applied through G rather than stored.
 
     The controls u enter rows through the predicted temperatures G u + d, so
     A = E [I; G 0], with the few entries of E kept as (row, column, value)
@@ -230,11 +222,12 @@ class HorizonRows(RowOperator):
         """sign * x[col] <= b, one row per column, ``stage`` rows per step."""
         self._add(b, stage, np.arange(len(cols)), cols, np.full(len(cols), sign))
 
-    def through_g(self, sign: float, b, cols=(), coef: float = 0.0) -> None:
-        """sign * (G u)_i + coef * x[cols[i]] <= b_i over the first len(b)
-        rows of G; without ``cols`` the second term is left out."""
+    def through_g(self, sign: float, b, cols=(), coef: float = 0.0, start: int = 0) -> None:
+        """sign * (G u)_(start + i) + coef * x[cols[i]] <= b_i over len(b)
+        rows of G from ``start``; without ``cols`` the second term is left
+        out."""
         i = np.arange(len(b))
-        self._add(b, self.n, np.append(i, i[:len(cols)]), np.append(self.shape[1] + i, cols),
+        self._add(b, self.n, np.append(i, i[:len(cols)]), np.append(self.shape[1] + start + i, cols),
                   np.repeat([sign, coef], [len(i), len(cols)]))
 
     def budget(self, b: float) -> None:
@@ -306,15 +299,20 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
     In the variable order (u, w, t1, t2), with the row weights split by the
     row groups of ``_condense`` into s1..s5 and the pinned-t2 rows:
 
-    - the (w, t1) block is diag(s3 + s4 + s5, 0) plus the RMS cone's NT term
-      W1^-2 = (I + U C U') / beta1^2 with U = [Jv, v], a diagonal plus
-      rank 2, which Sherman-Morrison-Woodbury inverts;
-    - it couples only to u, through G' diag(s4 - s5);
+    - the (w, t1) block is D + U C U', with D = diag(s3 + s4 + s5, 0) +
+      I / beta1^2 and the RMS cone's rank-2 term U = [Jv, v] and C = [4 v'v,
+      -2; -2, 0] / beta1^2. Sherman-Morrison-Woodbury inverts it: D^-1 U =
+      [g, h] T with g = D^-1 v1 on w, h = beta1^2 v0 on t1 and T = [-1, 1;
+      1, 1], so its inverse is D^-1 - [g, h] L [g, h]', L^-1 = diag(v1'g,
+      beta1^2 v0^2) + beta1^2 / 4 [1 - v'v, -v'v; -v'v, -1 - v'v];
+    - it couples only to u, through G' diag(s4 - s5), which the term in g
+      turns into one rank-1 term of the Schur complement;
     - the terminal cone adds [G_h, e_t2]' W2^-2 [G_h, e_t2] on (u, t2), of
       rank n + 1, and pinned-t2 rows (when Q_togo = 0) add to t2 alone.
 
     What is left is the Schur complement onto (u, t2), whose lower triangle
-    ``_weighted_gram`` assembles: one Cholesky of order h*m + 1 per iteration.
+    ``_weighted_gram`` assembles and a BLAS rank-1 update completes: one
+    Cholesky of order h*m + 1 per iteration.
     """
     nw, nu = G.shape
     n = powers.shape[1]
@@ -322,79 +320,81 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
     gram = _weighted_gram(G, powers)
     jsign = np.ones(n + 1)
     jsign[1:] = -1.0
-    diag_u = np.arange(nu)
     S = np.empty((nu + 1, nu + 1))
-    work = np.empty((nu, nu))
+    diag_u = np.einsum("ii->i", S)[:nu]
+    rank1 = np.zeros(nu + 1)
 
     def kkt(wts, scalings):
         s12 = wts[:nu] + wts[nu:2 * nu]
         s3, s4, s5 = wts[2 * nu:3 * nw + 2 * nu].reshape(3, nw)
         pinned = float(wts[2 * nu + 3 * nw:].sum())
         beta, v = scalings[0]
-        U = np.empty((nw + 1, 2))                  # [Jv, v] in (w, t1) order
-        U[:nw, 1] = v[1:]
-        U[:nw, 0] = -U[:nw, 1]
-        U[nw] = v[0]
+        b2, v0, v1 = beta**2, float(v[0]), v[1:]
         vv = float(v @ v)
-        C = np.array([[4.0 * vv, -2.0], [-2.0, 0.0]]) / beta**2
         s345 = s3 + s4 + s5
-        inv_dg = np.empty(nw + 1)                  # inverse diagonal of the (w, t1) block
-        inv_dg[:nw] = 1.0 / (s345 + 1.0 / beta**2)
-        inv_dg[nw] = beta**2
-        Ud = U * inv_dg[:, None]
-        # K = (I + C U' Ud)^-1 C = (C^-1 + U' Ud)^-1, a symmetric 2x2 inverse
-        (a, b), (_, d) = U.T @ Ud
-        b -= 0.5 * beta**2
-        d -= beta**2 * vv
-        K = np.array([[d, -b], [-b, a]]) / (a * d - b * b)
-        UdK = Ud @ K
-
-        def block_inv(y):
-            return y * inv_dg - UdK @ (Ud.T @ y)
-
+        d_w = s345 + 1.0 / b2                      # D on w; 1 / beta^2 on t1
+        inv_w = 1.0 / d_w
+        g, h0 = v1 * inv_w, b2 * v0
+        # L^-1 = [n00, n01; n01, n11]
+        n00, n01 = float(v1 @ g) + 0.25 * b2 * (1.0 - vv), -0.25 * b2 * vv
+        n11 = b2 * v0 * v0 - 0.25 * b2 * (1.0 + vv)
+        det = n00 * n11 - n01 * n01
+        l00, l01, l11 = n11 / det, -n01 / det, n00 / det
         delta = s4 - s5
         s45 = s4 + s5
+        dg, d_inv = delta * g, delta * inv_w
         # s4 + s5 - delta^2 / dg_w, without the cancellation when s4 >> s5
-        alpha = (s45 * (s3 + 1.0 / beta**2) + 4.0 * s4 * s5) * inv_dg[:nw]
-        GtQ = G.T @ (delta[:, None] * Ud[:nw])
+        alpha = (s45 * (s3 + 1.0 / b2) + 4.0 * s4 * s5) * inv_w
         W2 = None
         if len(scalings) > 1:
             beta2, v2 = scalings[1]
             Jv2 = jsign * v2
             Winv = (2.0 * np.outer(Jv2, Jv2) - np.diag(jsign)) / beta2
             W2 = Winv @ Winv
-            S[:nu, nu] = S[nu, :nu] = G_h.T @ W2[1:, 0]
+            S[nu, :nu] = G_h.T @ W2[1:, 0]
             S[nu, nu] = pinned + W2[0, 0]
             gram(S[:nu, :nu], alpha, W2[1:, 1:])
         else:
-            S[:nu, nu] = S[nu, :nu] = 0.0
+            S[nu, :nu] = 0.0
             S[nu, nu] = pinned
             gram(S[:nu, :nu], alpha)
-        S[:nu, :nu] += np.matmul(GtQ @ K, GtQ.T, out=work)
-        S[diag_u, diag_u] += s12
-        factor = factor_newton(S)
+        rank1[:nu] = G.T @ dg
+        dsyr(l00, rank1, lower=0, a=S.T, overwrite_a=1)     # the lower triangle of S
+        diag_u[:] += s12
+        solve_s = factor_newton(S)
 
         def solve(r):
-            y = block_inv(r[nu:-1])
-            x_a = cho_solve(factor, np.append(r[:nu] - G.T @ (delta * y[:nw]), r[-1]),
-                            check_finite=False)
-            y = r[nu:-1].copy()
-            y[:nw] -= delta * (G @ x_a[:nu])
-            return np.concatenate((x_a[:nu], block_inv(y), x_a[nu:]))
+            # B^-1 (y, r_t1) = (y / D - k g, beta^2 r_t1 - k' h): once with
+            # y = r_w for the right side of (u, t2), once with y = r_w -
+            # delta G u for (w, t1)
+            r_w, r_t = r[nu:nu + nw], r[-2]
+            k = l00 * float(g @ r_w) + l01 * h0 * r_t
+            x_a = solve_s(np.append(r[:nu] - G.T @ (d_inv * r_w - k * dg), r[-1]))
+            y = r_w - delta * (G @ x_a[:nu])
+            sig, tau = float(g @ y), h0 * r_t
+            out = np.empty_like(r)
+            out[:nu], out[-1] = x_a[:nu], x_a[nu]
+            out[nu:nu + nw] = y * inv_w - (l00 * sig + l01 * tau) * g
+            out[-2] = b2 * r_t - h0 * (l01 * sig + l11 * tau)
+            return out
 
         def apply(x):
-            u, w, t2 = x[:nu], x[nu:nu + nw], x[-1]
+            u, w, t1, t2 = x[:nu], x[nu:nu + nw], x[-2], x[-1]
             Gu = G @ u
-            y = x[nu:-1]
+            # the RMS cone's term, C U' (w, t1) = (c0, c1)
+            sig, tau = float(v1 @ w), v0 * t1
+            c0, c1 = (4.0 * vv * (tau - sig) - 2.0 * (tau + sig)) / b2, -2.0 * (tau - sig) / b2
+            y = s45 * Gu + delta * w
             out = np.empty_like(x)
-            out[:nu] = G.T @ (s45 * Gu + delta * w) + s12 * u
-            out[nu:-1] = y / beta**2 + U @ (C @ (U.T @ y))
-            out[nu:nu + nw] += delta * Gu + s345 * w
             out[-1] = pinned * t2
             if W2 is not None:
-                q = W2 @ np.concatenate([x[-1:], Gu[-n:]])
-                out[:nu] += G_h.T @ q[1:]
+                # the terminal cone's term reaches u through G_h, the last rows of G
+                q = W2 @ np.append(t2, Gu[-n:])
+                y[-n:] += q[1:]
                 out[-1] += q[0]
+            out[:nu] = G.T @ y + s12 * u
+            out[nu:nu + nw] = d_w * w + (c1 - c0) * v1 + delta * Gu
+            out[-2] = t1 / b2 + v0 * (c0 + c1)
             return out
 
         return solve, apply

@@ -1,53 +1,37 @@
 """Small dense primal-dual interior-point solver for linear-objective cone programs.
 
-Problems have the form::
+Problems come in conic standard form, as CVXOPT's ``conelp`` takes them::
 
     minimize    c' x
-    subject to  A x <= b
-                ||F_k x + g_k|| <= d_k' x + e_k      (second-order cones)
+    subject to  A x + s = b,   s in K
 
-Internally the constraints are stacked into conic standard form
-G x + s = h, s in K, with K a product of a nonnegative orthant and
-second-order cones, and solved by a Mehrotra-style predictor-corrector
-primal-dual interior-point method with Nesterov-Todd scaling. The start
-may be primal/dual infeasible; both residuals are driven to zero along
-the way.
+with K a nonnegative orthant over the first rows of ``A`` (the linear rows
+A_l x <= b_l) times one second-order cone over each following block of rows,
+head first: a cone ||F x + g|| <= d' x + e is the rows -d' and -F with
+right sides e and g. The solver is a Mehrotra-style predictor-corrector
+primal-dual interior-point method with Nesterov-Todd scaling. The start may
+be primal/dual infeasible; both residuals are driven to zero along the way.
 
 Problem sizes here are desk scale (a few hundred variables). ``A`` may be a
 dense array or a ``RowOperator``, which applies structured rows without
-storing them; the cone rows ``F`` likewise. The dominant per-iteration cost
-is the reduced Newton system: by default it is assembled densely and
-factored by Cholesky, and callers whose constraints have structure can
-supply a ``kkt`` hook that factors it their own way, in the style of
-CVXOPT's ``kktsolver``.
+storing them, so each iteration's products with all rows are one operator
+product each. The dominant per-iteration cost is the reduced Newton system:
+by default it is assembled densely and factored by Cholesky, and callers
+whose constraints have structure can supply a ``kkt`` hook that factors it
+their own way, in the style of CVXOPT's ``kktsolver``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, LinAlgError
+from scipy.linalg.blas import dtrsv
 
 from .errors import SolverFailure
-
-
-@dataclass(frozen=True)
-class ConeConstraint:
-    """Second-order cone ||F x + g|| <= d' x + e."""
-
-    F: np.ndarray
-    g: np.ndarray
-    d: np.ndarray
-    e: float = 0.0
-
-    def residual(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.F @ x + self.g, float(self.d @ x + self.e)
-
-    def violation(self, x: np.ndarray) -> float:
-        y, s = self.residual(x)
-        return float(np.linalg.norm(y) - s)
 
 
 class RowOperator:
@@ -72,9 +56,9 @@ class _Adjoint:
 @dataclass(frozen=True)
 class ConicProgram:
     c: np.ndarray
-    A: np.ndarray | RowOperator
+    A: np.ndarray | RowOperator     # the linear rows, then each cone's rows
     b: np.ndarray
-    cones: tuple[ConeConstraint, ...] = ()
+    cones: tuple[int, ...] = ()     # the sizes of the second-order cones
     # optional structured Newton solver, see ``KktHook``; None assembles the
     # reduced matrix densely
     kkt: Optional["KktHook"] = None
@@ -83,60 +67,61 @@ class ConicProgram:
     def n(self) -> int:
         return len(self.c)
 
+    @property
+    def m(self) -> int:
+        """The number of linear rows."""
+        return self.A.shape[0] - sum(self.cones)
+
 
 # One Newton system per iteration: kkt(wts, scalings) -> (solve, apply) for
-#   M = A' diag(wts) A + sum_k C_k' W_k^-2 C_k,   C_k = [d_k'; F_k],
-# with wts one weight per row of ``A`` and scalings[k] = (beta, v) the
-# Nesterov-Todd scaling W_k = beta (2 v v' - J) of cone k. ``solve(r)``
-# returns M^-1 r and ``apply(x)`` returns M x; the solver refines once with
-# the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor
-# through ``factor_newton`` so the regularization and its failure are the
-# solver's.
+#   M = A_l' diag(wts) A_l + sum_k A_k' W_k^-2 A_k,
+# with A_l the linear rows of ``A`` and wts one weight per row of them, A_k
+# the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
+# W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
+# returns M x; the solver refines once with the residual r - apply(solve(r))
+# when that exceeds 1e-10 ||r||. Factor through ``factor_newton`` so the
+# regularization and its failure are the solver's.
 KktHook = Callable[
     [np.ndarray, list[tuple[float, np.ndarray]]],
     tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
 ]
 
 
-def factor_newton(M: np.ndarray):
-    """Cholesky factor of a Newton matrix, shifted by 1e-12 on the diagonal.
+def factor_newton(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Cholesky factor of a Newton matrix, shifted by 1e-12 on the diagonal,
+    as the solve r -> M^-1 r. Only the lower triangle of M is read.
 
     When rounding has left it indefinite, the shift grows to 1e-6 of the
     largest diagonal entry once; after that the system is reported as
     ``SolverFailure``. ``M`` is modified in place.
     """
-    diag = np.diag_indices_from(M)
-    M[diag] += 1e-12
+    diag = np.einsum("ii->i", M)
+    diag += 1e-12
     try:
-        return cho_factor(M, lower=True, check_finite=False)
+        factor, _ = cho_factor(M, lower=True, check_finite=False)
     except LinAlgError:
-        M[diag] += 1e-6 * float(np.max(M.diagonal()))
+        diag += 1e-6 * float(np.max(diag))
         try:
-            return cho_factor(M, lower=True, check_finite=False)
+            factor, _ = cho_factor(M, lower=True, check_finite=False)
         except LinAlgError:
             raise SolverFailure("Newton system not positive definite")
+    # two triangular solves with L: for one right side, cheaper than dpotrs
+    return lambda r: dtrsv(factor, dtrsv(factor, r, lower=1), trans=1, lower=1, overwrite_x=1)
 
 
 def dense_kkt(prob: "ConicProgram") -> KktHook:
     """The reference hook: the reduced Newton matrix assembled densely."""
     A = _dense(prob.A)
-    rows = [(cone.d, _dense(cone.F)) for cone in prob.cones]
-    gram = [np.outer(d, d) + F.T @ F for d, F in rows]
+    A_l, A_k = A[:prob.m], np.split(A[prob.m:], np.cumsum(prob.cones)[:-1])
 
     def kkt(wts, scalings):
-        M = A.T @ (wts[:, None] * A)
-        for (d, F), GtG, (beta, v) in zip(rows, gram, scalings):
-            # W^-2 = (I + 4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / beta^2
-            Gt_Jv = d * v[0] - F.T @ v[1:]
-            Gt_v = d * v[0] + F.T @ v[1:]
-            M += (
-                GtG
-                + 4.0 * float(v @ v) * np.outer(Gt_Jv, Gt_Jv)
-                - 2.0 * np.outer(Gt_Jv, Gt_v)
-                - 2.0 * np.outer(Gt_v, Gt_Jv)
-            ) / beta**2
-        factor = factor_newton(M)
-        return (lambda r: cho_solve(factor, r, check_finite=False)), M.__matmul__
+        M = A_l.T @ (wts[:, None] * A_l)
+        for C, (beta, v) in zip(A_k, scalings):
+            J = np.ones(len(v))
+            J[1:] = -1.0
+            W_inv_C = (2.0 * np.outer(J * v, J * v) - np.diag(J)) @ C / beta
+            M += W_inv_C.T @ W_inv_C
+        return factor_newton(M), M.__matmul__
 
     return kkt
 
@@ -144,7 +129,7 @@ def dense_kkt(prob: "ConicProgram") -> KktHook:
 @dataclass
 class Solution:
     x: np.ndarray
-    s: np.ndarray          # slacks of the rows A x <= b, then of each cone's rows
+    s: np.ndarray          # slacks of the rows, b - A x at a solution
     z: np.ndarray          # their multipliers; ``solve`` takes (x, s, z) as a start
     status: str
     iterations: int
@@ -165,9 +150,13 @@ class _Cones:
     The orthant takes the first m entries, elementwise; the second-order
     cones follow as contiguous blocks, head entry first, handled all at once
     through the (K, q1 + ... + qK) block indicator ``sums``, whose product
-    with a vector of the cone part gives one sum per cone. ``scale`` stores
-    the Nesterov-Todd scaling W of an iterate, which ``w`` and ``winv``
-    apply: sqrt(s / z) on the orthant and beta (2 v v' - J) on each cone.
+    with a vector of the cone part gives one sum per cone.
+
+    ``interior`` keeps an iterate (s, z) and what the step searches from it
+    share; ``scale`` computes its Nesterov-Todd scaling W: sqrt(s / z) on
+    the orthant and beta (2 v v' - J) on each cone. W and W^-1 are each a
+    diagonal plus, on each cone, a rank-1 term; ``apply`` applies one of
+    them or its square.
     """
 
     def __init__(self, m: int, dims: list[int]):
@@ -181,6 +170,7 @@ class _Cones:
         self.jsign[self.heads] = 1.0
         self.unit = np.concatenate([np.ones(m), (self.jsign > 0).astype(float)])
         self.degree = m + len(dims)
+        self.beta = np.empty(0)
 
     def _jdot(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u' J w per cone, of cone parts (or of rows of them)."""
@@ -197,6 +187,12 @@ class _Cones:
         tail = u[self.m:] * u[self.m:]
         tail[self.heads] = 0.0
         return np.sqrt(self.sums @ tail)
+
+    def violation(self, u: np.ndarray) -> float:
+        """How far u is outside the cone: the largest of -u_i on the orthant
+        and ||u1|| - u0 on each cone; -inf for an empty cone."""
+        return max(float(np.max(-u[:self.m], initial=-np.inf)),
+                   float(np.max(self._tail_norms(u) - u[self.m + self.heads], initial=-np.inf)))
 
     def shift_inside(self, u: np.ndarray) -> np.ndarray:
         """u moved to at least one unit inside the cone: the orthant by one
@@ -224,95 +220,113 @@ class _Cones:
         return s, z
 
     def interior(self, u: np.ndarray) -> bool:
-        """Every row of u strictly inside the cone."""
+        """Whether both rows of u = [s; z] are strictly inside the cone. If
+        so, keeps them with what every step search from them shares: the
+        reciprocals of their orthant entries and cone heads, and u'Ju on
+        each cone."""
         m = self.m
-        return bool(np.all(u[:, :m] > 0) and np.all(u[:, m + self.heads] > 0)
-                    and np.all(self._jdot(u[:, m:], u[:, m:]) > 0))
+        heads = u[:, m + self.heads]
+        uju = self._jdot(u[:, m:], u[:, m:])
+        if not all(part.size == 0 or part.min() > 0 for part in (u[:, :m], heads, uju)):
+            return False
+        self.u, self.inv_orthant, self.inv_heads, self.uju = u, 1.0 / u[:, :m], 1.0 / heads, uju
+        return True
 
-    def scale(self, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Compute W from the iterate (s, z); returns lambda = W z."""
+    def scale(self) -> np.ndarray:
+        """Compute W at the iterate ``interior`` kept; returns lambda = W z
+        and keeps its Jordan inverse for ``ldiv``."""
+        s, z = self.u
         m = self.m
-        self.w_diag = np.empty_like(s)
-        self.w_diag[:m] = np.sqrt(s[:m] / z[:m])
+        terms = self._scale_cones(s[m:], z[m:]) if self.dims else ((None, None),) * 2
+        # on a cone W = beta (2 v v' - J), whose diagonal part is -beta J
+        w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), -self.jsign * self.beta[self.block]])
+        winv_diag = 1.0 / w_diag
+        self.W = (w_diag, w_diag * w_diag, *terms[0])
+        self.Winv = (winv_diag, winv_diag * winv_diag, *terms[1])
+        lam = self.apply(self.W, z)
+        # on a cone, the inverse is J lam / (lam' J lam)
+        self.lam_inv = np.empty_like(lam)
+        self.lam_inv[:m] = 1.0 / lam[:m]
         if self.dims:
-            self._scale_cones(s[m:], z[m:])
-        self.winv_diag = 1.0 / self.w_diag
-        return self.w(z)
+            lam_c = lam[m:]
+            self.lam_inv[m:] = self.jsign * lam_c / self._jdot(lam_c, lam_c)[self.block]
+        return lam
 
-    def _scale_cones(self, s: np.ndarray, z: np.ndarray) -> None:
+    def _scale_cones(self, s: np.ndarray, z: np.ndarray) -> tuple:
         """On each cone the scaling point satisfies P(w) z = s, and W is its
         square root, built from the Jordan square root of the normalized
-        point."""
+        point. Keeps beta and v of each cone and returns the cone terms of
+        W and W^-1 as ``apply`` takes them."""
         blk, jsign = self.block, self.jsign
-        s_res = self._jdot(s, s)
-        z_res = self._jdot(z, z)
+        s_res, z_res = self.uju
         sbar = s / np.sqrt(s_res)[blk]
         zbar = z / np.sqrt(z_res)[blk]
         gamma = np.sqrt((1.0 + self.sums @ (sbar * zbar)) / 2.0)
         wbar = (sbar + jsign * zbar) / (2.0 * gamma)[blk]
         v = (wbar + self.unit[self.m:]) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
-        self.beta = (s_res / z_res) ** 0.25
-        self.v = v
-        beta = self.beta[blk]
-        self.w_diag[self.m:] = -jsign * beta
-        # W u = beta (2 v (v'u) - J u), W^-1 u = (2 Jv (Jv)'u - J u) / beta
-        self.w_low, self.v_rows = 2.0 * beta * v, self.sums * v
-        self.winv_low, self.jv_rows = 2.0 * jsign * v / beta, self.sums * (jsign * v)
+        self.beta, self.v = (s_res / z_res) ** 0.25, v
+        # W u = beta (2 v (v'u) - J u) and W^-1 u = (2 Jv ((Jv)'u) - J u) /
+        # beta: the rows v' and (Jv)' of each cone, and their multiples
+        b = self.beta[:, None]
+        V, JV = self.sums * v, self.sums * (jsign * v)
+        return (V, 2.0 * b * V), (JV, 2.0 / b * JV)
+
+    def apply(self, op, u: np.ndarray, twice: bool = False) -> np.ndarray:
+        """u under W or W^-1 (``op`` is ``W`` or ``Winv``), or under its
+        square with ``twice``: a diagonal, plus on each cone a rank-1 term.
+        The square's diagonal on the orthant is one product; on a cone it
+        is applied as two steps, which keeps the rounding of each step's
+        rank-1 term apart near the cone's boundary."""
+        diag, diag2, rows, terms = op
+        m = self.m
+        out = (diag2 if twice else diag) * u
+        if self.dims:
+            u_c = u[m:]
+            if twice:
+                u_c = diag[m:] * u_c + (rows @ u_c) @ terms
+                out[m:] = diag[m:] * u_c
+            out[m:] += (rows @ u_c) @ terms
+        return out
 
     def scalings(self) -> list[tuple[float, np.ndarray]]:
         """(beta, v) of each second-order cone, as ``KktHook`` takes them."""
         return [(float(self.beta[k]), self.v[head:head + dim])
                 for k, (head, dim) in enumerate(zip(self.heads, self.dims))]
 
-    def w(self, u: np.ndarray) -> np.ndarray:
-        out = self.w_diag * u
-        if self.dims:
-            out[self.m:] += self.w_low * (self.v_rows @ u[self.m:])[self.block]
-        return out
-
-    def winv(self, u: np.ndarray) -> np.ndarray:
-        out = self.winv_diag * u
-        if self.dims:
-            out[self.m:] += self.winv_low * (self.jv_rows @ u[self.m:])[self.block]
-        return out
-
     def prod(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Jordan product u o w."""
-        m = self.m
-        if not self.dims:
-            return u * w
-        return np.concatenate([u[:m] * w[:m], self._prod(u[m:], w[m:])])
+        out = u * w
+        if self.dims:
+            out[self.m:] = self._prod(u[self.m:], w[self.m:])
+        return out
 
-    def ldiv(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """lam^-1 o u; on a cone, the inverse J lam / (lam' J lam) first."""
-        m = self.m
-        if not self.dims:
-            return u / lam
-        lam_c = lam[m:]
-        inv = self.jsign * lam_c / self._jdot(lam_c, lam_c)[self.block]
-        return np.concatenate([u[:m] / lam[:m], self._prod(inv, u[m:])])
+    def ldiv(self, u: np.ndarray) -> np.ndarray:
+        """lambda^-1 o u, for the lambda of the last ``scale``."""
+        return self.prod(self.lam_inv, u)
 
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest a <= 1 with every row of u + a du in the cone, for rows of
-        u in its interior (u and du hold one point per row).
+    def max_step(self, du: np.ndarray) -> float:
+        """Largest a <= 1 with both rows of u + a du in the cone, from the
+        iterate u = [s; z] that ``interior`` kept and du = [ds; dz].
 
         A ratio test on the orthant and the cones' head entries, and on each
         cone the smallest positive root of q(a) = (u + a du)' J (u + a du) =
         a2 a^2 + 2 b a + a0, in the form a0 / (sqrt(b^2 - a2 a0) - b), which
         stays exact as the quadratic term vanishes.
         """
-        m, heads = self.m, self.m + self.heads
-        worst = max(float(np.max(-du[:, :m] / u[:, :m], initial=0.0)),
-                    float(np.max(-du[:, heads] / u[:, heads], initial=0.0)))
+        m = self.m
+        worst = -min(float(np.min(du[:, :m] * self.inv_orthant, initial=0.0)),
+                     float(np.min(du[:, m + self.heads] * self.inv_heads, initial=0.0)))
         a = 1.0 / worst if worst > 1.0 else 1.0
         if not self.dims:
             return a
-        u_c, du_c = u[:, m:], du[:, m:]
-        a2, b, a0 = self._jdot(np.stack([du_c, u_c, u_c]), np.stack([du_c, du_c, u_c]))
-        disc = b * b - a2 * a0
-        denom = np.sqrt(np.maximum(disc, 0.0)) - b
-        ok = (disc >= 0) & (denom > 0)
-        return min(a, float(np.min(a0[ok] / denom[ok]))) if np.any(ok) else a
+        du_c = du[:, m:]
+        jdu = self.jsign * du_c
+        a2, b = (jdu * du_c) @ self.sums.T, (jdu * self.u[:, m:]) @ self.sums.T
+        for q2, q1, q0 in zip(a2.ravel().tolist(), b.ravel().tolist(), self.uju.ravel().tolist()):
+            disc = q1 * q1 - q2 * q0
+            if disc >= 0 and math.sqrt(disc) - q1 > 0:
+                a = min(a, q0 / (math.sqrt(disc) - q1))
+        return a
 
 
 def solve(
@@ -335,34 +349,38 @@ def solve(
     best iterate.
     """
     c = np.asarray(prob.c, dtype=float)
-    m = prob.A.shape[0]
-    # G x + s = h with the linear rows, then each cone's rows -[d'; F] and
-    # h = [e; g]; the linear rows are equilibrated, which keeps their
-    # multipliers commensurate
-    row_scale = _equilibrate(prob.A)
-    G, Gt = _stack(prob.A, row_scale, prob.cones)
-    h = np.concatenate([prob.b * row_scale]
-                       + [np.concatenate([[cone.e], cone.g]) for cone in prob.cones])
-    cones = _Cones(m, [1 + cone.F.shape[0] for cone in prob.cones])
-    sq = row_scale * row_scale
+    A, At, m = prob.A, prob.A.T, prob.m
+    # G x + s = h is A x + s = b with the linear rows equilibrated, which
+    # keeps their multipliers commensurate
+    row_scale = _equilibrate(A, m)
+    h = row_scale * prob.b
+    cones = _Cones(m, list(prob.cones))
+    sq = row_scale[:m] ** 2
     kkt = prob.kkt if prob.kkt is not None else dense_kkt(prob)
     scale_p = 1.0 + float(np.linalg.norm(h[:m])) + float(np.sum(np.sqrt(cones.sums @ (h[m:] * h[m:]))))
     scale_d = 1.0 + float(np.linalg.norm(c))
+
+    def G(x):
+        return row_scale * (A @ x)
+
+    def Gt(z):
+        return At @ (row_scale * z)
 
     if start is None:
         # least-squares initialization: x from min ||Gx - h||, z = G y with
         # y = -M0^-1 c (exactly dual feasible before the cone shift), then
         # both s and z shifted into their cone interiors; M0 is the Newton
         # matrix at unit weights and identity scalings
-        cones.scale(cones.unit, cones.unit)            # W = I at s = z = e
+        cones.interior(np.stack([cones.unit, cones.unit]))
+        cones.scale()                                  # W = I at s = z = e
         solve0, _ = kkt(sq, cones.scalings())
         x = solve0(Gt(h))
         s = cones.shift_inside(h - G(x))
         z = cones.shift_inside(G(solve0(-c)))
     else:
         x, s, z = (np.array(v, dtype=float) for v in start)
-        s[:m] *= row_scale
-        z[:m] /= row_scale
+        s *= row_scale
+        z /= row_scale
         # centred on the mu that balances its gap against its residuals;
         # centring moves the dual residual, so mu is balanced once more
         # against the centred point's, and never lowered
@@ -378,22 +396,24 @@ def solve(
     best_progress = np.inf
     since_improved = 0
     it = refinements = 0
+    sz = np.stack([s, z])
     # the iterate closest to the stopping test: its largest measure relative
-    # to its scale, with x, s, z, gap, primal and dual residual
-    best = (np.inf, x, s, z, np.inf, np.inf, np.inf)
+    # to its scale, with x, [s; z], gap, primal and dual residual
+    best = (np.inf, x, sz, np.inf, np.inf, np.inf)
 
     for it in range(1, max_iter + 1):
+        s, z = sz
         rx = c + Gt(z)
         rz = G(x) + s - h
         gap = float(s @ z)
-        pres = float(np.linalg.norm(rz))
-        dres = float(np.linalg.norm(rx))
+        pres = math.sqrt(rz @ rz)
+        dres = math.sqrt(rx @ rx)
         score = max(dres / scale_d, pres / scale_p, gap / (1.0 + abs(float(c @ x))))
         if score <= tol:
             status = "optimal"
             break
         if score < best[0]:
-            best = (score, x, s, z, gap, pres, dres)
+            best = (score, x, sz, gap, pres, dres)
         progress = gap + pres + dres
         if progress < 0.99 * best_progress:
             best_progress = progress
@@ -406,43 +426,42 @@ def solve(
 
         # Nesterov-Todd scalings; bail out if rounding pushed an iterate
         # outside its cone (can happen hugging the boundary at convergence)
-        sz = np.stack([s, z])
         if not cones.interior(sz):
             status = "stalled"
             break
-        lam = cones.scale(s, z)
+        lam = cones.scale()
         mu = gap / cones.degree
-        kkt_solve, kkt_apply = kkt(sq * cones.winv_diag[:m] ** 2, cones.scalings())
+        kkt_solve, kkt_apply = kkt(sq * cones.Winv[1][:m], cones.scalings())
 
         def newton(tgt):
-            """Direction for targets tgt = desired lambda o (W^-T ds + W dz).
+            """Direction (dx, [ds; dz]) for targets tgt = desired
+            lambda o (W^-T ds + W dz).
 
             Eliminations: ds = W d_c - W^2 dz with d_c = lambda^-1 o tgt, and
             dz = W^-2 (G dx + rz + W d_c), leaving G' W^-2 G dx = rhs.
             """
             nonlocal refinements
-            w_dc = cones.w(cones.ldiv(lam, tgt))
-            rhs = -rx - Gt(cones.winv(cones.winv(rz + w_dc)))
+            w_dc = cones.apply(cones.W, cones.ldiv(tgt))
+            rhs = -rx - Gt(cones.apply(cones.Winv, rz + w_dc, twice=True))
             dx = kkt_solve(rhs)
             # one pass of iterative refinement where the residual shows
             # factorization error: near the boundary the W^-2 recovery of dz
             # amplifies it
             res = rhs - kkt_apply(dx)
-            if np.linalg.norm(res) > 1e-10 * np.linalg.norm(rhs):
+            if res @ res > 1e-20 * (rhs @ rhs):
                 dx += kkt_solve(res)
                 refinements += 1
-            dz = cones.winv(cones.winv(G(dx) + rz + w_dc))
-            return dx, w_dc - cones.w(cones.w(dz)), dz
-
-        def max_step(ds, dz):
-            return cones.max_step(sz, np.stack([ds, dz]))
+            dsz = np.empty_like(sz)
+            dsz[1] = cones.apply(cones.Winv, G(dx) + rz + w_dc, twice=True)
+            np.subtract(w_dc, cones.apply(cones.W, dsz[1], twice=True), out=dsz[0])
+            return dx, dsz
 
         # predictor (affine scaling) direction
         lam_sq = cones.prod(lam, lam)
-        dxa, dsa, dza = newton(-lam_sq)
-        a_aff = min(1.0, 0.999 * max_step(dsa, dza))
-        gap_aff = float((s + a_aff * dsa) @ (z + a_aff * dza))
-        sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-6), 0.9999)
+        _, dsza = newton(-lam_sq)
+        a_aff = min(1.0, 0.999 * cones.max_step(dsza))
+        s_aff, z_aff = sz + a_aff * dsza
+        sigma = min(max((max(float(s_aff @ z_aff), 0.0) / gap) ** 3, 1e-6), 0.9999)
         # with an infeasible start the gap can race ahead of the residuals;
         # hold it with pure centering until feasibility catches up
         gap_rel = gap / (1.0 + abs(float(c @ x)))
@@ -452,20 +471,20 @@ def solve(
 
         # corrector with Mehrotra second-order term
         cen = sigma * mu * cones.unit - lam_sq
-        dx, ds, dz = newton(cen - cones.prod(cones.winv(dsa), cones.w(dza)))
-        a = min(1.0, 0.99 * max_step(ds, dz))
+        second = cones.prod(cones.apply(cones.Winv, dsza[0]), cones.apply(cones.W, dsza[1]))
+        dx, dsz = newton(cen - second)
+        a = min(1.0, 0.99 * cones.max_step(dsz))
         if a < 0.1:
             # the second-order term can jam the step against a cone boundary
             # for many iterations in a row; the plain centred direction from
             # the same factorization often still moves, so take the longer
             centred = newton(cen)
-            a_cen = min(1.0, 0.99 * max_step(centred[1], centred[2]))
+            a_cen = min(1.0, 0.99 * cones.max_step(centred[1]))
             if a_cen > a:
-                (dx, ds, dz), a = centred, a_cen
+                (dx, dsz), a = centred, a_cen
 
         x = x + a * dx
-        s = s + a * ds
-        z = z + a * dz
+        sz = sz + a * dsz
 
     if status != "optimal":
         # near the optimum of a degenerate problem the Newton error can throw
@@ -473,26 +492,21 @@ def solve(
         # accepted within a band, where conditioning floors the residuals
         # slightly above the requested tolerance even though the iterate is
         # converged for every practical purpose
-        score, x, s, z, gap, pres, dres = best
+        score, x, sz, gap, pres, dres = best
         if score <= 1e3 * tol:
             status = "optimal"
 
     # slacks and multipliers in the original (unequilibrated) row scaling
-    s = np.concatenate([s[:m] / row_scale, s[m:]])
-    z = np.concatenate([z[:m] * row_scale, z[m:]])
-    viol = float(np.max(prob.A @ x - prob.b)) if m else -np.inf
-    for cone in prob.cones:
-        viol = max(viol, cone.violation(x))
     return Solution(
         x=x,
-        s=s,
-        z=z,
+        s=sz[0] / row_scale,
+        z=sz[1] * row_scale,
         status=status,
         iterations=it,
         gap=gap,
         dual_residual=dres,
         primal_residual=pres,
-        max_violation=viol,
+        max_violation=cones.violation(prob.b - A @ x),
         refinements=refinements,
     )
 
@@ -520,40 +534,17 @@ def _dense(M) -> np.ndarray:
     return M.toarray() if isinstance(M, RowOperator) else M
 
 
-def _stack(A, scale: np.ndarray, cones):
-    """(G x, G' z) as functions, for G = [diag(scale) A; -d_1'; -F_1; ...]:
-    the rows of A, each multiplied by its ``scale``, then each cone's rows."""
-    m = A.shape[0]
-    sizes = [1 + cone.F.shape[0] for cone in cones]
-    ends = m + np.cumsum(sizes, dtype=int)
-    heads = ends - sizes
-
-    def apply(x):
-        out = np.empty(m + sum(sizes))
-        out[:m] = scale * (A @ x)
-        for cone, at, end in zip(cones, heads, ends):
-            out[at] = -(cone.d @ x)
-            out[at + 1:end] = -(cone.F @ x)
-        return out
-
-    def apply_t(z):
-        out = A.T @ (scale * z[:m])
-        for cone, at, end in zip(cones, heads, ends):
-            out -= cone.d * z[at] + cone.F.T @ z[at + 1:end]
-        return out
-
-    return apply, apply_t
-
-
 def _row_max(A) -> np.ndarray:
     """The largest magnitude in each row of A."""
     return A.row_max() if isinstance(A, RowOperator) else np.abs(A).max(axis=1, initial=0.0)
 
 
-def _equilibrate(A) -> np.ndarray:
-    """Row factors of A: one over each row's largest magnitude where that
-    exceeds 1, else 1."""
-    return 1.0 / np.maximum(_row_max(A), 1.0)
+def _equilibrate(A, m: int) -> np.ndarray:
+    """Row factors of A: over its first m rows, one over each row's largest
+    magnitude where that exceeds 1, else 1; 1 on the rows after them."""
+    scale = 1.0 / np.maximum(_row_max(A), 1.0)
+    scale[m:] = 1.0
+    return scale
 
 
 def find_strictly_feasible(

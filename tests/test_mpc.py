@@ -8,7 +8,6 @@ from thermobench import mpc as mpc_module
 from thermobench.errors import ValidationError
 from thermobench.harness import ScenarioConfig, run_scenario
 from thermobench.mpc import (
-    HorizonRows,
     MpcConfig,
     _closed_form_cost,
     _condense,
@@ -93,19 +92,21 @@ def test_structured_kkt_matches_dense():
                                     np.full(h, 30.0), r_min, r_max, cfg)
         prog = _condense(problem)[0]
         assert len(prog.cones) == (2 if q_togo > 0 else 1)
-        A = prog.A.toarray()
+        rows = prog.A.toarray()
+        A = rows[:prog.m]
         for _ in range(4):
             wts = np.exp(rng.uniform(-3.0, 3.0, size=A.shape[0]))
             M = A.T @ (wts[:, None] * A)
             scalings = []
-            for cone in prog.cones:
-                v1 = rng.normal(size=cone.F.shape[0]) * rng.uniform(0.1, 2.0)
+            at = prog.m
+            for size in prog.cones:
+                v1 = rng.normal(size=size - 1) * rng.uniform(0.1, 2.0)
                 v = np.concatenate([[np.sqrt(1.0 + v1 @ v1)], v1])
                 beta = rng.uniform(0.3, 3.0)
                 J = np.diag(np.concatenate([[1.0], -np.ones(len(v1))]))
                 W_inv = np.linalg.inv(beta * (2.0 * np.outer(v, v) - J))
-                F = cone.F.toarray() if isinstance(cone.F, HorizonRows) else cone.F
-                C = np.vstack([cone.d, F])
+                C = rows[at:at + size]
+                at += size
                 M += C.T @ W_inv @ W_inv @ C
                 scalings.append((beta, v))
             r = rng.normal(size=prog.n)
@@ -135,7 +136,10 @@ def test_horizon_rows_match_dense(h, dt, q_togo):
     """The condensed program's rows, applied through G, against the matrix
     written out here from their definition: -u <= 0, u <= 1, -w <= 0,
     -(G u) - w <= d - r_min, G u - w <= r_max - d, and with Q_togo = 0 the
-    pinned t2 rows; likewise the RMS cone's rows, which select w."""
+    pinned t2 rows; then the cones' rows in A x + s = b, head first: the RMS
+    cone's -t1 and -w with right side 0 and, when Q_togo > 0, the terminal
+    cone's -t2 with 0 and -(G_h u) with d_h - r_h, G_h the last block row
+    of G."""
     rng = np.random.default_rng(h)
     r_min, r_max = flat_bounds(h, 2)
     cfg = MpcConfig(horizon=h, Q_togo=q_togo)
@@ -148,16 +152,22 @@ def test_horizon_rows_match_dense(h, dt, q_togo):
     G_x = np.hstack([G, np.zeros((nw, nvar - nu))])
     D = [-I_u, I_u, -I_w, -G_x - I_w, G_x - I_w]
     b = [np.zeros(nu), np.ones(nu), np.zeros(nw), d - r_min.ravel(), r_max.ravel() - d]
+    t1, t2 = np.eye(1, nvar, nu + nw), np.eye(1, nvar, nvar - 1)
     if q_togo == 0:
-        t2 = np.eye(1, nvar, nvar - 1)
         D += [t2, -t2]
         b += [[1.0], [0.0]]
+    D += [-t1, -I_w]
+    b += [[0.0], np.zeros(nw)]
+    if q_togo > 0:
+        n = G.shape[0] // h
+        D += [-t2, -G_x[-n:]]
+        b += [[0.0], d[-n:] - problem.r[-1]]
     D = np.vstack(D)
+    assert prog.cones == ((1 + nw, 1 + n) if q_togo > 0 else (1 + nw,))
     np.testing.assert_array_equal(prog.b, np.concatenate(b))
     np.testing.assert_array_equal(prog.A.toarray(), D)
     np.testing.assert_array_equal(prog.A.row_max(), np.abs(D).max(axis=1))
     assert operator_error(prog.A, D, rng) <= 1e-13
-    assert operator_error(prog.cones[0].F, I_w, rng) <= 1e-13
 
 
 @pytest.mark.parametrize("sched", [

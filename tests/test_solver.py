@@ -5,7 +5,6 @@ from scipy.optimize import linprog
 from thermobench.errors import SolverFailure
 from thermobench.mpc import HorizonRows
 from thermobench.solver import (
-    ConeConstraint,
     ConicProgram,
     dense_kkt,
     find_strictly_feasible,
@@ -19,13 +18,25 @@ def box_rows(n, lo, hi):
     return A, b
 
 
+def cone_rows(F, g, d, e=0.0):
+    """The rows and right sides of the cone ||F x + g|| <= d' x + e in
+    standard form A x + s = b: the head row -d' with e, then -F with g."""
+    return np.vstack([-d, -F]), np.concatenate([[e], g])
+
+
+def with_cones(c, A, b, cones):
+    """The program with the linear rows A x <= b and the cones given as
+    (F, g, d) triples, their rows after the linear ones."""
+    rows = [cone_rows(*cone) for cone in cones]
+    return ConicProgram(c=c, A=np.vstack([A] + [r for r, _ in rows]),
+                        b=np.concatenate([b] + [rhs for _, rhs in rows]),
+                        cones=tuple(len(rhs) for _, rhs in rows))
+
+
 def primal_start(prob, x):
     """A start at the primal point x: its slacks, and zero multipliers."""
-    s = [prob.b - prob.A @ x]
-    for cone in prob.cones:
-        y, t = cone.residual(x)
-        s += [[t], y]
-    return x, np.concatenate(s), np.zeros(sum(map(len, s)))
+    s = prob.b - prob.A @ x
+    return x, s, np.zeros(len(s))
 
 
 def test_simple_lp():
@@ -72,8 +83,7 @@ def test_box_projection_socp():
         F = np.hstack([np.eye(n), np.zeros((n, 1))])
         d = np.zeros(n + 1)
         d[-1] = 1.0
-        cone = ConeConstraint(F=F, g=-z, d=d)
-        prob = ConicProgram(c=c, A=A, b=b_box, cones=(cone,))
+        prob = with_cones(c, A, b_box, [(F, -z, d)])
         x0 = np.concatenate([np.full(n, 0.5), [np.linalg.norm(np.full(n, 0.5) - z) + 1.0]])
         sol = solve(prob, primal_start(prob, x0))
         expected = np.linalg.norm(np.clip(z, 0.0, 1.0) - z)
@@ -87,8 +97,7 @@ def test_cone_value_reaches_zero_norm():
     A_box, b_box = box_rows(1, -1.0, 1.0)
     A = np.hstack([A_box, np.zeros((2, 1))])
     c = np.array([0.0, 1.0])
-    cone = ConeConstraint(F=np.array([[1.0, 0.0]]), g=np.zeros(1), d=np.array([0.0, 1.0]))
-    prob = ConicProgram(c=c, A=A, b=b_box, cones=(cone,))
+    prob = with_cones(c, A, b_box, [(np.array([[1.0, 0.0]]), np.zeros(1), np.array([0.0, 1.0]))])
     sol = solve(prob, primal_start(prob, np.array([0.5, 2.0])))
     assert sol.x[1] < 1e-4
     assert abs(sol.x[0]) < 1e-3
@@ -210,9 +219,9 @@ def test_several_cones_project_blockwise(seed):
         F[:, block] = np.eye(size)
         d = np.zeros(n + len(sizes))
         d[n + k] = 1.0
-        cones.append(ConeConstraint(F=F, g=-z[block], d=d))
+        cones.append((F, -z[block], d))
         start += size
-    sol = solve(ConicProgram(c=c, A=A, b=b_box, cones=tuple(cones)))
+    sol = solve(with_cones(c, A, b_box, cones))
     x_star = np.clip(z, 0.0, 1.0)
     cost = sum(np.linalg.norm(part) for part in np.split(x_star - z, np.cumsum(sizes)[:-1]))
     assert sol.optimal

@@ -4,11 +4,12 @@
     python3 scripts/perf_pairs.py d00916a HEAD --workloads acquire,mpc-week,online --seeds 91-100 \\
         --trace-seeds 0,91 --claim acquire:steps_per_s --out pairs.json
 
-Extracts each revision with ``git archive`` into its own temporary directory.
-Then, for every seed and workload, it runs ``perfbench/run.py --trace 0`` in
-both trees one after the other: the parent first on even pairs, the change
-first on odd ones, so that a drift in the machine's speed falls on both sides
-alike. For each end-to-end metric of ``BENCHMARK.json`` it prints both
+Extracts each revision with ``git archive`` into its own temporary directory
+and compiles its ``src`` and ``perfbench`` to bytecode there, so that the
+first pair's ``setup_s`` does not include compiling them. Then, for every
+seed and workload, it runs ``perfbench/run.py --trace 0`` in both trees one
+after the other: the parent first on even pairs, the change first on odd
+ones, so that a drift in the machine's speed falls on both sides alike. For each end-to-end metric of ``BENCHMARK.json`` it prints both
 medians, the ratio of the medians, the median per-pair ratio, the pairs the
 change wins and the pairs that tie; the quartiles are those of
 ``perfbench/summarize.py`` (``statistics.quantiles(n=4)``). ``--trace-seeds``
@@ -51,6 +52,8 @@ def extract(rev: str, into: Path) -> str:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True).stdout
     into.mkdir()
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    # compiled here, so that no run's setup_s includes compiling the sources
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=into, check=True)
     return sha
 
 

@@ -1,0 +1,93 @@
+"""Property tests of the solver's step search and the MPC's Newton hook."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermobench.mpc import MpcConfig, _condense, build_mpc_problem
+from thermobench.network import continuous_from_network, discretize, two_zone_example
+from thermobench.solver import _Cones, dense_kkt
+
+# reruns check the same examples
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def boundary_measures(cones, x, scale):
+    """How far inside the cone each block of x lies, relative to ``scale``
+    of the same block: x_i on the orthant, x0 - ||x1|| on each cone."""
+    m = cones.m
+    out = [x[:m] / scale[:m]]
+    for head, dim in zip(cones.heads, cones.dims):
+        block = slice(m + head, m + head + dim)
+        x_c, s_c = x[block], scale[block]
+        out.append([(x_c[0] - np.linalg.norm(x_c[1:])) / (abs(s_c[0]) + np.linalg.norm(s_c[1:]))])
+    return np.concatenate(out)
+
+
+@st.composite
+def interior_points(draw):
+    """An orthant and two second-order cones, a point with both rows [s; z]
+    strictly inside, some of them close to the boundary, and a direction."""
+    m = draw(st.integers(1, 6))
+    dims = draw(st.lists(st.integers(2, 6), min_size=2, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cones = _Cones(m, dims)
+    rows = []
+    for _ in range(2):
+        u = np.empty(m + sum(dims))
+        u[:m] = np.exp(rng.uniform(-8.0, 3.0, size=m))
+        for head, dim in zip(cones.heads, cones.dims):
+            tail = rng.normal(size=dim - 1) * np.exp(rng.uniform(-3.0, 3.0))
+            gap = np.exp(rng.uniform(-12.0, 1.0)) * (1.0 + np.linalg.norm(tail))
+            u[m + head:m + head + dim] = np.concatenate([[np.linalg.norm(tail) + gap], tail])
+        rows.append(u)
+    u = np.stack(rows)
+    du = rng.normal(size=u.shape) * np.exp(rng.uniform(-3.0, 3.0))
+    return cones, u, du
+
+
+@PROPERTY
+@given(interior_points())
+def test_step_search_stops_at_the_boundary(case):
+    """The step a of ``max_step`` keeps u + 0.999 a du strictly inside the
+    cone, and when a < 1, u + a du lies on its boundary to 1e-9 relative:
+    the block nearest the boundary has reached it, and no block is outside."""
+    cones, u, du = case
+    assert cones.interior(u)
+    a = cones.max_step(du)
+    assert 0.0 < a <= 1.0
+    assert cones.interior(u + 0.999 * a * du)
+    if a < 1.0:
+        x = u + a * du
+        scale = np.abs(u) + a * np.abs(du)
+        nearest = min(boundary_measures(cones, row, s).min() for row, s in zip(x, scale))
+        assert abs(nearest) <= 1e-9
+
+
+def random_scaling(rng, size):
+    """(beta, v) with beta > 0 and v'Jv = 1, as a Nesterov-Todd scaling."""
+    v1 = rng.normal(size=size - 1) * rng.uniform(0.1, 2.0)
+    return rng.uniform(0.3, 3.0), np.concatenate([[np.sqrt(1.0 + v1 @ v1)], v1])
+
+
+@PROPERTY
+@given(h=st.integers(1, 6), q_togo=st.sampled_from([1.0, 0.0]), seed=st.integers(0, 2**32 - 1))
+def test_condensed_kkt_matches_dense(h, q_togo, seed):
+    """The condensed hook solves and applies the reduced Newton matrix that
+    ``dense_kkt`` assembles from the program's rows, to 1e-9 relative, over
+    random row weights and NT scalings at small horizons."""
+    rng = np.random.default_rng(seed)
+    model = discretize(continuous_from_network(two_zone_example()), 15.0)
+    cfg = MpcConfig(horizon=h, Q_togo=q_togo)
+    problem = build_mpc_problem(model, np.array([66.0, 71.0]), rng.uniform(10.0, 50.0, size=h),
+                                np.full((h, 2), 68.0), np.full((h, 2), 72.0), cfg)
+    prog = _condense(problem)[0]
+    wts = np.exp(rng.uniform(-3.0, 3.0, size=prog.m))
+    scalings = [random_scaling(rng, size) for size in prog.cones]
+    solve, apply = prog.kkt(wts, scalings)
+    solve_ref, apply_ref = dense_kkt(prog)(wts, scalings)
+    r, x = rng.normal(size=prog.n), rng.normal(size=prog.n)
+    ref = solve_ref(r)
+    assert np.linalg.norm(solve(r) - ref) <= 1e-9 * np.linalg.norm(ref)
+    ref = apply_ref(x)
+    assert np.linalg.norm(apply(x) - ref) <= 1e-9 * np.linalg.norm(ref)

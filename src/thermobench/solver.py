@@ -79,8 +79,9 @@ class ConicProgram:
 # the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
 # W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
 # returns M x; the solver refines once with the residual r - apply(solve(r))
-# when that exceeds 1e-10 ||r||. Factor through ``factor_newton`` so the
-# regularization and its failure are the solver's.
+# when that exceeds 1e-10 ||r||. Factor through ``factor_newton``, which
+# reads only the lower triangle and returns the solve with the factor, so
+# the regularization and its failure are the solver's.
 KktHook = Callable[
     [np.ndarray, list[tuple[float, np.ndarray]]],
     tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],

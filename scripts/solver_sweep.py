@@ -1,6 +1,6 @@
 """Fallback and iteration sweep of the closed loop's solver calls.
 
-    python3 scripts/solver_sweep.py --workload online --seeds 0-20,57 --out a.json [--jobs 2]
+    python3 scripts/solver_sweep.py --workload online --seeds 0-20,57 --out a.json [--jobs 2] [--refine-all]
     python3 scripts/solver_sweep.py --compare a.json b.json
 
 Runs ``run_scenario`` on the configs of a perfbench workload (``online``,
@@ -9,15 +9,21 @@ thermostat fallbacks (``mpc-failure`` events), the status, IPM iterations
 and refined Newton solves of every solver call by kind (``socp``: the MPC
 programs, ``lp``: the separation LPs, ``phase1``: their phase-one programs,
 told apart by the binding each is called through), ``energy``, the
-experiment start times and the trace's temperatures and heater commands.
-``--out`` writes the records as JSON, which ``--compare`` reads two of: it
+experiment start times, each experiment's bounds ``e`` as the optimal
+selector returned them, and the trace's temperatures and heater commands.
+With ``--refine-all`` every solver call runs with its Newton hook
+wrapped so that each Newton solve is refined once with the hook's own
+residual, whatever its size (the solver refines only above 1e-10 of the
+right side); comparing such a record with a plain one shows whether a
+result depends on the solver's path. ``--out`` writes the records as JSON, which ``--compare`` reads two of: it
 prints fallbacks, stalled and non-optimal solves, total, mean and worst
 iterations and refined Newton solves per solve (n/a for records written
 before ``Solution.refinements``) per solve kind on each side, each seed's
 most SOCP iterations in one solve on both sides with the seeds where that
 grew, the largest relative ``energy`` difference and the seeds where it
-exceeds 1e-6, the seeds whose experiment start times differ, and max |dT|
-and |du| over the traces. Solver changes report these figures; the script
+exceeds 1e-6, the seeds whose experiment start times differ, max |de| over
+the experiments both sides start at the same time (n/a for records written
+before ``e`` was recorded), and max |dT| and |du| over the traces. Solver changes report these figures; the script
 is not part of the test suite.
 """
 
@@ -34,6 +40,7 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +51,7 @@ import numpy as np  # noqa: E402
 
 from perfbench.workloads import WORKLOADS, fallbacks  # noqa: E402
 from thermobench import excitation, harness, mpc, solver  # noqa: E402
+from thermobench.solver import dense_kkt  # noqa: E402
 
 KINDS = {"socp": mpc, "lp": excitation, "phase1": solver}
 
@@ -57,40 +65,66 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def sweep_one(workload: str, seed: int) -> dict:
+def refining(kkt):
+    """The Newton hook ``kkt`` with every solve refined once by its residual."""
+    def hook(wts, scalings):
+        solve_kkt, apply = kkt(wts, scalings)
+
+        def refined(r):
+            x = solve_kkt(r)
+            return x + solve_kkt(r - apply(x))
+
+        return refined, apply
+    return hook
+
+
+def sweep_one(workload: str, seed: int, refine_all: bool = False) -> dict:
     """Run one seed of a workload, recording every solver call by kind."""
     solves = {kind: [] for kind in KINDS}
+    bounds = []
     saved = {kind: owner.solve for kind, owner in KINDS.items()}
+    select_optimal = harness.select_optimal
 
     def recording(kind, fn):
-        def wrapped(*args, **kwargs):
-            sol = fn(*args, **kwargs)
+        def wrapped(prob, *args, **kwargs):
+            if refine_all:
+                prob = replace(prob, kkt=refining(prob.kkt or dense_kkt(prob)))
+            sol = fn(prob, *args, **kwargs)
             solves[kind].append((sol.status, sol.iterations, sol.refinements))
             return sol
         return wrapped
 
+    def selecting(*args, **kwargs):
+        result = select_optimal(*args, **kwargs)
+        if result[0] is not None:
+            bounds.append([result[0].start_time, result[0].e.tolist()])
+        return result
+
     for kind, owner in KINDS.items():
         owner.solve = recording(kind, saved[kind])
+    harness.select_optimal = selecting
     try:
         reports = [harness.run_scenario(cfg) for cfg in WORKLOADS[workload].build(seed, None)]
     finally:
         for kind, owner in KINDS.items():
             owner.solve = saved[kind]
+        harness.select_optimal = select_optimal
     return {
         "fallbacks": sum(fallbacks(r) for r in reports),
         "solves": solves,
         "energy": [r.metrics.energy for r in reports],
         "experiments": [e.time for r in reports for e in r.events if e.kind == "experiment"],
+        "e": bounds,
         "T": [[list(row.true_temps) for row in r.trace.rows] for r in reports],
         "u": [[list(row.u) for row in r.trace.rows] for r in reports],
     }
 
 
-def sweep(workload: str, seeds: list[int], jobs: int) -> dict:
+def sweep(workload: str, seeds: list[int], jobs: int, refine_all: bool = False) -> dict:
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = {seed: pool.submit(sweep_one, workload, seed) for seed in seeds}
-        return {"workload": workload,
+        futures = {seed: pool.submit(sweep_one, workload, seed, refine_all) for seed in seeds}
+        return {"workload": workload, "refine_all": refine_all,
                 "seeds": {str(seed): f.result() for seed, f in futures.items()}}
 
 
@@ -140,6 +174,8 @@ def compare(path_a: Path, path_b: Path) -> None:
     grew = [seed for seed, (x, y) in most.items() if y > x]
     print(f"  seeds whose most socp iterations grew: {', '.join(grew) or 'none'}")
     energy_rel, dT, du, moved, apart = 0.0, 0.0, 0.0, [], []
+    has_e = all("e" in r["seeds"][seed] for r in (a, b) for seed in a["seeds"])
+    de = 0.0
     for seed, ra in a["seeds"].items():
         rb = b["seeds"][seed]
         rel = max(abs(eb - ea) / max(abs(ea), 1e-300) for ea, eb in zip(ra["energy"], rb["energy"]))
@@ -148,11 +184,15 @@ def compare(path_a: Path, path_b: Path) -> None:
             apart.append(f"{seed} ({rel:.2g})")
         if ra["experiments"] != rb["experiments"]:
             moved.append(seed)
+        if has_e:
+            eb = dict((t, e) for t, e in rb["e"])
+            de = max([de] + [_max_abs_diff(e, eb[t]) for t, e in ra["e"] if t in eb])
         dT = max(dT, _max_abs_diff(ra["T"], rb["T"]))
         du = max(du, _max_abs_diff(ra["u"], rb["u"]))
     print(f"  energy: largest relative difference {energy_rel:.3g};"
           f" above 1e-6 on seeds: {', '.join(apart) or 'none'}")
     print(f"  max |dT| {dT:.3g}, max |du| {du:.3g}")
+    print(f"  max |de| over experiments at the same start time: {f'{de:.3g}' if has_e else 'n/a'}")
     print(f"  experiment start times differ on seeds: {moved or 'none'}")
 
 
@@ -162,6 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--refine-all", action="store_true")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -169,7 +210,7 @@ def main(argv=None) -> int:
         return 0
     if not args.workload or not args.out:
         parser.error("--workload and --out are required without --compare")
-    record = sweep(args.workload, parse_seeds(args.seeds), args.jobs)
+    record = sweep(args.workload, parse_seeds(args.seeds), args.jobs, args.refine_all)
     args.out.write_text(json.dumps(record))
     t = totals(record)
     print(json.dumps({k: t[k] for k in ("fallbacks", "stalled", "not_optimal")}

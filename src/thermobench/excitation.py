@@ -36,7 +36,9 @@ class Experiment:
     """A short-horizon set-point modification.
 
     ``e`` holds modified per-step lower bounds, one row per step over the
-    short horizon, one column per zone; NaN leaves a bound untouched.
+    short horizon, one column per zone; NaN leaves a bound untouched. The
+    optimal selector raises every zone's bound halfway from r_min to the
+    temperatures its LP planned, within r_max less the margin.
     """
 
     target: tuple[int, ...]
@@ -250,9 +252,12 @@ def select_optimal(
     one counts. The first candidate whose mean separation gain beats the
     threshold becomes an experiment and resets the threshold; if none
     does, the threshold decays. The baseline's own problem supplies the
-    model, start temperatures, forecast and comfort band. The LPs of all
-    candidates and directions differ only in their costs, so their rows,
-    Newton hook and phase-one point are built once per call.
+    model, start temperatures, forecast and comfort band. The LPs run over
+    the controls alone, and the experiment's bounds follow from the winning
+    LP's planned temperatures (``Experiment``), not from the solver's path.
+    The LPs of all candidates and directions differ only in their costs, so
+    their rows, Newton hook and phase-one point are built once per call;
+    each LP is solved cold.
     """
     problem = baseline.problem
     forecast = problem.forecast
@@ -297,11 +302,12 @@ def _trajectory_separation(case, T_traj, forecast, zones):
 
 @dataclass(frozen=True)
 class SeparationProgram:
-    """Rows A x <= b over x = (u, e) that every separation LP of one
+    """Rows A x <= b over the controls x = u that every separation LP of one
     selection shares, with their Newton hook and a strictly feasible point
-    (None when there is none). u are the controls, e the modified lower
-    bounds of the first h_s steps, kept within [e_lo, e_hi]; the predicted
-    temperatures are G u + d."""
+    (None when there is none, or when the experiment bounds have no room:
+    e_lo < e_hi must hold strictly). The predicted temperatures are G u + d;
+    e_lo and e_hi bound the experiment's lower bounds over the first h_s
+    steps."""
 
     G: np.ndarray
     d: np.ndarray
@@ -317,40 +323,29 @@ def _separation_program(model, T0, forecast, r_min, r_max, u_budget, h_s, bound_
     """The rows of the separation LPs, their hook and their phase-one point."""
     h, n = r_min.shape
     nu = h * model.Gamma_ctrl.shape[1]
-    ne = h_s * n
     G, d, powers = prediction_matrices(model, T0, forecast, h)
     e_lo, e_hi = r_min[:h_s], r_max[:h_s] - bound_margin
-    # rows: 0 <= u <= 1, r_min <= G u + d <= r_max, sum(u) <= budget,
-    # e_lo <= e <= e_hi, and e <= T over the first h_s steps
-    iu, ie = np.arange(nu), nu + np.arange(ne)
-    rows = HorizonRows(G, n, nu + ne)
-    rows.unit(iu, -1.0, np.zeros(nu))
-    rows.unit(iu, 1.0, np.ones(nu))
+    # rows: 0 <= u <= 1, r_min <= G u + d <= r_max, sum(u) <= budget
+    rows = HorizonRows(G, n, nu)
+    rows.unit(np.arange(nu), -1.0, np.zeros(nu))
+    rows.unit(np.arange(nu), 1.0, np.ones(nu))
     rows.through_g(-1.0, d - r_min.reshape(-1))
     rows.through_g(1.0, r_max.reshape(-1) - d)
     rows.budget(u_budget)
-    rows.unit(ie, -1.0, -e_lo.reshape(-1))
-    rows.unit(ie, 1.0, e_hi.reshape(-1))
-    rows.through_g(-1.0, d[:ne], ie, 1.0)
-    kkt = _separation_kkt(G, powers, ne)
-    x0 = find_strictly_feasible(rows, rows.b, kkt=kkt)
+    kkt = _separation_kkt(G, powers)
+    x0 = find_strictly_feasible(rows, rows.b, kkt=kkt) if np.all(e_lo < e_hi) else None
     return SeparationProgram(G, d, rows, rows.b, kkt, x0, e_lo, e_hi)
 
 
-def _separation_kkt(G, powers, ne):
-    """Newton hook of the separation LP: eliminate the bounds e, factor u.
+def _separation_kkt(G, powers):
+    """Newton hook of the separation LP: one Cholesky of order h*m.
 
     With the row weights split by the row groups of ``_separation_program``
-    into w1..w8, e enters only its box rows (w6, w7) and the rows
-    e - G_s u <= d_s (w8), G_s being the first ne rows of G. Its block of the
-    Newton matrix is diag(w6 + w7 + w8), coupled to u through
-    -G_s' diag(w8), so the Schur complement onto u is
-    diag(w1 + w2) + G' diag(alpha) G + w5 11', with alpha = w3 + w4 plus
-    w8 (w6 + w7) / (w6 + w7 + w8) on the first ne rows; ``_weighted_gram``
-    assembles its lower triangle, and one Cholesky of order h*m is left.
+    into w1..w5, the Newton matrix is diag(w1 + w2) + G' diag(w3 + w4) G +
+    w5 11', and ``_weighted_gram`` assembles the lower triangle of its
+    middle term.
     """
     nw, nu = G.shape
-    G_s = G[:ne]
     gram = _weighted_gram(G, powers)
     S = np.empty((nu, nu))
     diag_u = np.einsum("ii->i", S)
@@ -359,38 +354,18 @@ def _separation_kkt(G, powers, ne):
         w12 = wts[:nu] + wts[nu:2 * nu]
         w34 = wts[2 * nu:2 * nu + nw] + wts[2 * nu + nw:2 * nu + 2 * nw]
         w5 = float(wts[2 * nu + 2 * nw])
-        w6, w7, w8 = wts[2 * nu + 2 * nw + 1:].reshape(3, ne)
-        w67 = w6 + w7
-        inv_e = 1.0 / (w67 + w8)
-        alpha = w34.copy()
-        alpha[:ne] += w8 * w67 * inv_e
-        gram(S, alpha)
+        gram(S, w34)
         S[:] += w5
         diag_u[:] += w12
-        solve_s = factor_newton(S)
-
-        def solve_kkt(r):
-            r_e = r[nu:]
-            u = solve_s(r[:nu] + G_s.T @ (w8 * inv_e * r_e))
-            return np.concatenate([u, (r_e + w8 * (G_s @ u)) * inv_e])
-
-        def apply(x):
-            u, e = x[:nu], x[nu:]
-            Gu = G @ u
-            y = w34 * Gu
-            coupling = w8 * (Gu[:ne] - e)
-            y[:ne] += coupling
-            return np.concatenate([w12 * u + G.T @ y + w5 * u.sum(), w67 * e - coupling])
-
-        return solve_kkt, apply
+        return factor_newton(S), lambda u: w12 * u + G.T @ (w34 * (G @ u)) + w5 * u.sum()
 
     return kkt
 
 
 def _separation_weights(case, direction, zones, n_ext, h):
     """The weight v of each predicted temperature, time-major over the h
-    steps, in one sign-fixed LP: its controls cost c_u = -G' v, its share in
-    the horizon-summed separation. The modified bounds cost nothing."""
+    steps, in one sign-fixed LP: its controls cost c = -G' v, their share in
+    the horizon-summed separation."""
     n = len(zones)
     kind, nodes = case
     zi = zones.index(nodes[0])
@@ -405,35 +380,24 @@ def _separation_weights(case, direction, zones, n_ext, h):
     return direction * np.tile(y, h)
 
 
-def _separation_start(program, v):
-    """The LP's solver start: the phase-one point x0 with its slacks, and the
-    multipliers max(-v, 0) on the rows T >= r_min and max(v, 0) on T <= r_max,
-    zero elsewhere. They cancel c_u = -G' v, so the start is exactly dual
-    feasible, as x0 is primal feasible."""
-    nw, nu = program.G.shape
-    z = np.zeros(len(program.b))
-    z[2 * nu:2 * nu + nw] = np.maximum(-v, 0.0)
-    z[2 * nu + nw:2 * nu + 2 * nw] = np.maximum(v, 0.0)
-    return program.x0, program.b - program.A @ program.x0, z
-
-
 def _separation_lp(case, direction, program, forecast, zones):
-    """One sign-fixed linear program over (controls, modified bounds)."""
+    """One sign-fixed linear program over the controls, with the experiment
+    bounds it implies."""
     G, d = program.G, program.d
     nw, nu = G.shape
     n = len(zones)
     h = nw // n
     v = _separation_weights(case, direction, zones, forecast.shape[1], h)
-    c = np.zeros(program.A.shape[1])
-    c[:nu] = -(G.T @ v)
-    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt),
-                _separation_start(program, v))
+    sol = solve(ConicProgram(c=-(G.T @ v), A=program.A, b=program.b, kkt=program.kkt))
     if not sol.optimal:
         return None
-    u_opt = np.clip(sol.x[:nu], 0.0, 1.0)
+    u_opt = np.clip(sol.x, 0.0, 1.0)
     T = (G @ u_opt + d).reshape(h, n)
     J = sum(
         _step_separation(case, T[k], forecast[k], zones) for k in range(h)
     ) / n
-    e_opt = np.clip(sol.x[nu:].reshape(program.e_lo.shape), program.e_lo, program.e_hi)
+    # the bounds halfway up from e_lo to the planned temperatures, the centre
+    # of the interval the LP leaves free
+    e_lo, e_hi = program.e_lo, program.e_hi
+    e_opt = np.clip(e_lo + 0.5 * (np.minimum(e_hi, T[:len(e_lo)]) - e_lo), e_lo, e_hi)
     return J, e_opt, u_opt.reshape(h, nu // h)

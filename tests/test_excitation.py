@@ -11,7 +11,6 @@ from thermobench.excitation import (
     SelectorState,
     _choose_targets,
     _separation_lp,
-    _separation_start,
     _separation_weights,
     _separation_program,
     generate_eigen,
@@ -287,19 +286,24 @@ class TestSelectOptimal:
         )
         assert exp is None
 
-    def test_slack_budget_selects_and_resets_threshold(self):
+    def warm_morning(self):
+        """09:00 on a warm day, h = 48: the baseline, the candidates of a
+        covariance with two uncertain directions, and the comfort band."""
         net, _ = table1()
         model = table1_model()
-        h, h_s = 48, 8
+        h = 48
         sched = OccupancySchedule()
         weather = WeatherModel(mean_temp=25.0, daily_amp=10.0, fast_amp=0.0)
         t = 9 * 60.0
         r_min, r_max = horizon_bounds(sched, t, h, 15.0, 2)
         forecast = weather_forecast(weather, t, h, 15.0)
-        T0 = np.array([68.5, 68.5])
-        base = self.baseline(model, T0, forecast, r_min, r_max, h)
-        cands = generate_eigen(np.diag([9.0, 0.1, 4.0, 0.1]),
-                               minimal_parameterization(net), net)
+        base = self.baseline(model, np.array([68.5, 68.5]), forecast, r_min, r_max, h)
+        cands = generate_eigen(np.diag([9.0, 0.1, 4.0, 0.1]), minimal_parameterization(net), net)
+        return net, t, base, cands, r_min, r_max
+
+    def test_slack_budget_selects_and_resets_threshold(self):
+        net, t, base, cands, r_min, r_max = self.warm_morning()
+        h_s = 8
         exp, state, diag = select_optimal(
             cands, base, SelectorState(threshold=0.3), net, t, h_s=h_s, budget_mult=1.5,
         )
@@ -310,21 +314,60 @@ class TestSelectOptimal:
         assert np.all(exp.e <= r_max[:h_s] - 2.0 + 1e-9)
         assert np.all(exp.e >= r_min[:h_s] - 1e-9)
 
+    @pytest.mark.parametrize("path, tol", [("refine", 1e-9), ("start", 1e-6)])
+    def test_bounds_do_not_depend_on_solver_path(self, monkeypatch, path, tol):
+        """The experiment's bounds follow from the LP's optimum, not from
+        where its iteration stops. On the setup of
+        ``test_slack_budget_selects_and_resets_threshold`` the path changes
+        in two ways, and e stays put:
+
+        - ``refine``: a Newton hook that refines every solve once by its
+          residual gives the same e to 1e-9. The change is small; bounds
+          read off the interior-point path moved by only 1.5e-12 under it;
+        - ``start``: every LP starts from u = 0 with its slacks and unit
+          multipliers instead of its own start. Bounds read off the path moved by
+          0.46 F under it. The LP stops at a relative gap of 1e-8, and the
+          planned temperatures on an active comfort bound (about 68 F)
+          agree only to its order, so e is held to 1e-6 here."""
+        net, t, base, cands, _, _ = self.warm_morning()
+
+        def select():
+            exp, _, _ = select_optimal(cands, base, SelectorState(threshold=0.3), net, t,
+                                       h_s=8, budget_mult=1.5)
+            return exp
+
+        plain = select()
+        if path == "refine":
+            hook = excitation._separation_kkt
+
+            def refining(*args):
+                kkt = hook(*args)
+
+                def refined_kkt(wts, scalings):
+                    solve_kkt, apply = kkt(wts, scalings)
+                    return (lambda r: (x := solve_kkt(r)) + solve_kkt(r - apply(x))), apply
+
+                return refined_kkt
+
+            monkeypatch.setattr(excitation, "_separation_kkt", refining)
+        else:
+            def from_zero(prob, start=None, **kwargs):
+                x = np.zeros(prob.n)
+                return solve(prob, (x, prob.b - prob.A @ x, np.ones(len(prob.b))), **kwargs)
+
+            monkeypatch.setattr(excitation, "solve", from_zero)
+        moved = select()
+        assert plain is not None and moved is not None
+        assert moved.target == plain.target
+        assert np.max(np.abs(moved.e - plain.e)) <= tol
+
     def test_one_phase_one_per_selection(self, monkeypatch):
         """The separation LPs share their rows, so a selection builds them and
         solves their phase one once, however many candidates and directions
         it tries: here every candidate is tried (threshold out of reach), and
         then the first one wins."""
-        net, _ = table1()
-        model = table1_model()
-        h, h_s = 48, 8
-        sched = OccupancySchedule()
-        weather = WeatherModel(mean_temp=25.0, daily_amp=10.0, fast_amp=0.0)
-        t = 9 * 60.0
-        r_min, r_max = horizon_bounds(sched, t, h, 15.0, 2)
-        forecast = weather_forecast(weather, t, h, 15.0)
-        base = self.baseline(model, np.array([68.5, 68.5]), forecast, r_min, r_max, h)
-        cands = generate_eigen(np.diag([9.0, 0.1, 4.0, 0.1]), minimal_parameterization(net), net)
+        net, t, base, cands, _, _ = self.warm_morning()
+        h_s = 8
         counts = Counter()
         for name in ("find_strictly_feasible", "solve", "prediction_matrices"):
             fn = getattr(excitation, name)
@@ -399,23 +442,19 @@ def test_separation_hooks_match_dense(h, heaters):
 def test_separation_rows_match_dense(h, heaters):
     """The separation LP's rows, applied through G, against the matrix
     written out here from their definition: -u <= 0, u <= 1,
-    -(G u) <= d - r_min, G u <= r_max - d, sum(u) <= budget, -e <= -e_lo,
-    e <= e_hi and e - G_s u <= d_s, G_s being the first h_s*n rows of G; and
-    the phase-one rows bordered by the column -1 and the row -s <= 1."""
+    -(G u) <= d - r_min, G u <= r_max - d and sum(u) <= budget; and the
+    phase-one rows bordered by the column -1 and the row -s <= 1."""
     rng = np.random.default_rng(h + heaters)
     model = table1_model() if heaters == 2 else single_heater_model()[1]
     program, _ = separation_setup(model, h, 1 if h < 32 else 8)
     G = program.G
-    nw, nu = G.shape
-    ne = program.e_lo.size
-    I_u, I_e = np.eye(nu, nu + ne), np.eye(ne, nu + ne, nu)
-    G_x = np.hstack([G, np.zeros((nw, ne))])
-    budget = np.concatenate([np.ones(nu), np.zeros(ne)])
-    D = np.vstack([-I_u, I_u, -G_x, G_x, budget, -I_e, I_e, I_e - G_x[:ne]])
+    nu = G.shape[1]
+    I_u = np.eye(nu)
+    D = np.vstack([-I_u, I_u, -G, G, np.ones(nu)])
     np.testing.assert_array_equal(program.A.toarray(), D)
     np.testing.assert_array_equal(program.A.row_max(), np.abs(D).max(axis=1))
     m = len(D)
-    D1 = np.block([[D, -np.ones((m, 1))], [np.zeros((1, nu + ne)), -np.ones((1, 1))]])
+    D1 = np.block([[D, -np.ones((m, 1))], [np.zeros((1, nu)), -np.ones((1, 1))]])
     for rows, ref in ((program.A, D), (phase_one(program.A, program.b).A, D1)):
         for _ in range(3):
             x, z = rng.normal(size=ref.shape[1]), rng.normal(size=ref.shape[0])
@@ -426,18 +465,28 @@ def test_separation_rows_match_dense(h, heaters):
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize("case", [("pair", (1, 2)), ("single", (1,))])
 def test_separation_lp_matches_highs(case, direction):
-    """Each sign-fixed separation LP at h = 96, solved through its hook from
-    the phase-one point, reaches the optimum HiGHS finds on the same
-    (c, A, b)."""
+    """Each sign-fixed separation LP at h = 96 over the controls alone,
+    solved cold through its hook, reaches the optimum HiGHS finds on the LP
+    over (u, e) with the modified bounds e as variables, written out here:
+    the rows over u, then e_lo <= e <= e_hi and e - G_s u <= d_s, G_s being
+    the first h_s*n rows of G, with e at no cost. e never constrains u
+    there, so both LPs have the same optimal value."""
     program, problem = separation_setup(table1_model(), 96, 8)
     assert program.x0 is not None
+    G, d = program.G, program.d
+    nw, nu = G.shape
+    e_lo, e_hi = program.e_lo.reshape(-1), program.e_hi.reshape(-1)
+    ne = e_lo.size
+    I_e = np.eye(ne, nu + ne, nu)
+    G_x = np.hstack([G, np.zeros((nw, ne))])
+    A_full = np.vstack([np.hstack([program.A.toarray(), np.zeros((len(program.b), ne))]),
+                        -I_e, I_e, I_e - G_x[:ne]])
+    b_full = np.concatenate([program.b, -e_lo, e_hi, d[:ne]])
     v = _separation_weights(case, direction, [1, 2], 1, 96)
-    c = np.zeros(program.A.shape[1])
-    c[:program.G.shape[1]] = -(program.G.T @ v)
-    ref = linprog(c, A_ub=program.A.toarray(), b_ub=program.b, bounds=(None, None), method="highs")
+    c = -(G.T @ v)
+    ref = linprog(np.append(c, np.zeros(ne)), A_ub=A_full, b_ub=b_full, bounds=(None, None),
+                  method="highs")
     assert ref.success
-    start = _separation_start(program, v)
-    assert np.allclose(c + program.A.T @ start[2], 0.0) and np.all(start[1] > 0)
-    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt), start)
+    sol = solve(ConicProgram(c=c, A=program.A, b=program.b, kkt=program.kkt))
     assert sol.optimal
     assert abs(c @ sol.x - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))

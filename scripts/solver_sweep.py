@@ -1,6 +1,6 @@
 """Fallback and iteration sweep of the closed loop's solver calls.
 
-    python3 scripts/solver_sweep.py --workload online --seeds 0-20,57 --out a.json [--jobs 2] [--refine-all]
+    python3 scripts/solver_sweep.py --workload online --seeds 0-20,57 --out a.json [--jobs 2]
     python3 scripts/solver_sweep.py --compare a.json b.json
 
 Runs ``run_scenario`` on the configs of a perfbench workload (``online``,
@@ -11,11 +11,7 @@ programs, ``lp``: the separation LPs, ``phase1``: their phase-one programs,
 told apart by the binding each is called through), ``energy``, the
 experiment start times, each experiment's bounds ``e`` as the optimal
 selector returned them, and the trace's temperatures and heater commands.
-With ``--refine-all`` every solver call runs with its Newton hook
-wrapped so that each Newton solve is refined once with the hook's own
-residual, whatever its size (the solver refines only above 1e-10 of the
-right side); comparing such a record with a plain one shows whether a
-result depends on the solver's path. ``--out`` writes the records as JSON, which ``--compare`` reads two of: it
+``--out`` writes the records as JSON, which ``--compare`` reads two of: it
 prints fallbacks, stalled and non-optimal solves, total, mean and worst
 iterations and refined Newton solves per solve (n/a for records written
 before ``Solution.refinements``) per solve kind on each side, each seed's
@@ -23,8 +19,8 @@ most SOCP iterations in one solve on both sides with the seeds where that
 grew, the largest relative ``energy`` difference and the seeds where it
 exceeds 1e-6, the seeds whose experiment start times differ, max |de| over
 the experiments both sides start at the same time (n/a for records written
-before ``e`` was recorded), and max |dT| and |du| over the traces. Solver changes report these figures; the script
-is not part of the test suite.
+before ``e`` was recorded), and max |dT| and |du| over the traces. Solver
+changes report these figures; the script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +46,6 @@ import numpy as np  # noqa: E402
 
 from perfbench.workloads import WORKLOADS, fallbacks  # noqa: E402
 from thermobench import excitation, harness, mpc, solver  # noqa: E402
-from thermobench.solver import dense_kkt  # noqa: E402
 
 KINDS = {"socp": mpc, "lp": excitation, "phase1": solver}
 
@@ -65,20 +59,7 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def refining(kkt):
-    """The Newton hook ``kkt`` with every solve refined once by its residual."""
-    def hook(wts, scalings):
-        solve_kkt, apply = kkt(wts, scalings)
-
-        def refined(r):
-            x = solve_kkt(r)
-            return x + solve_kkt(r - apply(x))
-
-        return refined, apply
-    return hook
-
-
-def sweep_one(workload: str, seed: int, refine_all: bool = False) -> dict:
+def sweep_one(workload: str, seed: int) -> dict:
     """Run one seed of a workload, recording every solver call by kind."""
     solves = {kind: [] for kind in KINDS}
     bounds = []
@@ -86,10 +67,8 @@ def sweep_one(workload: str, seed: int, refine_all: bool = False) -> dict:
     select_optimal = harness.select_optimal
 
     def recording(kind, fn):
-        def wrapped(prob, *args, **kwargs):
-            if refine_all:
-                prob = replace(prob, kkt=refining(prob.kkt or dense_kkt(prob)))
-            sol = fn(prob, *args, **kwargs)
+        def wrapped(*args, **kwargs):
+            sol = fn(*args, **kwargs)
             solves[kind].append((sol.status, sol.iterations, sol.refinements))
             return sol
         return wrapped
@@ -120,11 +99,11 @@ def sweep_one(workload: str, seed: int, refine_all: bool = False) -> dict:
     }
 
 
-def sweep(workload: str, seeds: list[int], jobs: int, refine_all: bool = False) -> dict:
+def sweep(workload: str, seeds: list[int], jobs: int) -> dict:
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = {seed: pool.submit(sweep_one, workload, seed, refine_all) for seed in seeds}
-        return {"workload": workload, "refine_all": refine_all,
+        futures = {seed: pool.submit(sweep_one, workload, seed) for seed in seeds}
+        return {"workload": workload,
                 "seeds": {str(seed): f.result() for seed, f in futures.items()}}
 
 
@@ -185,7 +164,7 @@ def compare(path_a: Path, path_b: Path) -> None:
         if ra["experiments"] != rb["experiments"]:
             moved.append(seed)
         if has_e:
-            eb = dict((t, e) for t, e in rb["e"])
+            eb = dict(rb["e"])
             de = max([de] + [_max_abs_diff(e, eb[t]) for t, e in ra["e"] if t in eb])
         dT = max(dT, _max_abs_diff(ra["T"], rb["T"]))
         du = max(du, _max_abs_diff(ra["u"], rb["u"]))
@@ -202,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--refine-all", action="store_true")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -210,7 +188,7 @@ def main(argv=None) -> int:
         return 0
     if not args.workload or not args.out:
         parser.error("--workload and --out are required without --compare")
-    record = sweep(args.workload, parse_seeds(args.seeds), args.jobs, args.refine_all)
+    record = sweep(args.workload, parse_seeds(args.seeds), args.jobs)
     args.out.write_text(json.dumps(record))
     t = totals(record)
     print(json.dumps({k: t[k] for k in ("fallbacks", "stalled", "not_optimal")}

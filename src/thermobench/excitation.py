@@ -333,6 +333,7 @@ def _separation_program(model, T0, forecast, r_min, r_max, u_budget, h_s, bound_
     rows.through_g(1.0, r_max.reshape(-1) - d)
     rows.budget(u_budget)
     kkt = _separation_kkt(G, powers)
+    # with no room between the bounds an experiment cannot raise them
     x0 = find_strictly_feasible(rows, rows.b, kkt=kkt) if np.all(e_lo < e_hi) else None
     return SeparationProgram(G, d, rows, rows.b, kkt, x0, e_lo, e_hi)
 

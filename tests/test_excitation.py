@@ -325,10 +325,10 @@ class TestSelectOptimal:
           residual gives the same e to 1e-9. The change is small; bounds
           read off the interior-point path moved by only 1.5e-12 under it;
         - ``start``: every LP starts from u = 0 with its slacks and unit
-          multipliers instead of its own start. Bounds read off the path moved by
-          0.46 F under it. The LP stops at a relative gap of 1e-8, and the
-          planned temperatures on an active comfort bound (about 68 F)
-          agree only to its order, so e is held to 1e-6 here."""
+          multipliers instead of its own start. Bounds read off the path
+          moved by 0.46 F under it. The LP stops at a relative gap of 1e-8,
+          and the planned temperatures on an active comfort bound (about
+          68 F) agree only to its order, so e is held to 1e-6 here."""
         net, t, base, cands, _, _ = self.warm_morning()
 
         def select():
@@ -477,10 +477,10 @@ def test_separation_lp_matches_highs(case, direction):
     nw, nu = G.shape
     e_lo, e_hi = program.e_lo.reshape(-1), program.e_hi.reshape(-1)
     ne = e_lo.size
-    I_e = np.eye(ne, nu + ne, nu)
+    I_u, I_e = np.eye(nu, nu + ne), np.eye(ne, nu + ne, nu)
     G_x = np.hstack([G, np.zeros((nw, ne))])
-    A_full = np.vstack([np.hstack([program.A.toarray(), np.zeros((len(program.b), ne))]),
-                        -I_e, I_e, I_e - G_x[:ne]])
+    budget = np.concatenate([np.ones(nu), np.zeros(ne)])
+    A_full = np.vstack([-I_u, I_u, -G_x, G_x, budget, -I_e, I_e, I_e - G_x[:ne]])
     b_full = np.concatenate([program.b, -e_lo, e_hi, d[:ne]])
     v = _separation_weights(case, direction, [1, 2], 1, 96)
     c = -(G.T @ v)

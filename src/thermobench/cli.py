@@ -12,7 +12,7 @@ Scenario files are JSON::
       "controller": "thermostat" | "mpc" | "mpc-with-excitation",
       "estimator": true,
       "excitation_method": "eigen" | "heuristic-selector",
-      "duration_days": 3,
+      "duration_days": 3,            (or "duration_steps": 288)
       "protocol": null | "acquisition" | "acquisition-no-excitation",
       "initial_temps": {"1": 70.0, "2": 70.0},
       "seed": 0
@@ -20,6 +20,7 @@ Scenario files are JSON::
 
 The network may also be a path to a separate network JSON file.
 ``initial_temps`` must name every internal node; absent, ``ScenarioConfig``'s default applies.
+Any other top-level key is an error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+SCENARIO_KEYS = frozenset({
+    "name", "network", "weather", "schedule", "controller", "estimator", "excitation_method",
+    "duration_steps", "duration_days", "protocol", "initial_temps", "seed",
+})
+
 
 def load_scenario(path):
     from .errors import ValidationError
@@ -47,6 +53,9 @@ def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
+        unknown = sorted(set(doc) - SCENARIO_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown scenario keys: {', '.join(unknown)}")
         net_spec = doc["network"]
         network = load_network(
             net_spec if isinstance(net_spec, dict)

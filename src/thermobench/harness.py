@@ -31,7 +31,7 @@ from .excitation import (
     select_heuristic,
     select_optimal,
 )
-from .monitor import Monitor, MonitorEvent, MonitorPolicy, consensus_test
+from .monitor import Monitor, MonitorEvent, MonitorPolicy
 from .mpc import MpcConfig, MpcSolution, mpc_step
 from .network import (
     DiscreteDynamics,
@@ -99,7 +99,6 @@ class ScenarioConfig:
     selector: SelectorState = SelectorState()
     meas_noise_std: float = 0.1
     track_observability: bool = False
-    consensus_bank: int = 0
 
     def __post_init__(self):
         if self.controller not in ("thermostat", "mpc", "mpc-with-excitation"):
@@ -241,19 +240,14 @@ class _Run:
         self.converged_at: Optional[float] = None
         self.status = "ok"
         if config.estimator:
-            # the consensus bank's filters draw their parameter seeds after
-            # the main filter's and see the same measurements
             rng = np.random.default_rng((config.seed, 0xA11))
-            spread = config.param_seed_spread
-            seeded = truth if config.start_at_truth else _seeded(truth, rng, spread)
+            seeded = (truth if config.start_at_truth
+                      else _seeded(truth, rng, config.param_seed_spread))
             z0 = measure(self.plant_state, config.meas_noise_std, (config.seed, 0xE0, 0))
             self.ukf_model = UkfModel(net, config.ukf)
             self.est_state: UkfState = initial_state(net, z0, seeded, config.ukf)
             self.monitor = Monitor(config.monitor, truth, seeded)
             self.events = self.monitor.events
-            self.bank = [initial_state(net, z0, _seeded(truth, rng, spread), config.ukf)
-                         for _ in range(config.consensus_bank)]
-            self.last_consensus = 0.0
 
 
 @dataclass
@@ -327,23 +321,10 @@ def _estimate(run: _Run, k: int) -> Optional[_Step]:
                                noise_scale=monitor.noise_boost(t))
                 run.est_state = update(pred.state, z, run.ukf_model).state
                 run.est_state = monitor.observe(run.est_state, t, pred.clamped)
-                for b, member in enumerate(run.bank):
-                    bp = predict(member, run.u_prev, config.dt, run.ukf_model)
-                    run.bank[b] = update(bp.state, z, run.ukf_model).state
             except (NumericalDegeneracyError, PhysicsViolationError,
                     np.linalg.LinAlgError) as exc:  # numerical degeneracy ends the run
                 run.status = f"degenerate: {exc}"
                 return None
-            if run.bank and t - run.last_consensus >= config.monitor.consensus_every:
-                run.last_consensus = t
-                report = consensus_test(
-                    [run.est_state] + run.bank, run.truth.param_names(),
-                    config.monitor.consensus_threshold,
-                )
-                detail = "agree" if report.consensus else (
-                    f"disagree (outlier filter {report.outlier()})"
-                )
-                run.events.append(MonitorEvent(t, "consensus", detail))
         est = run.est_state
         rec = EstimateRecord(
             t, np.concatenate([est.p, est.q]), np.abs(np.diag(est.P)[est.n_nodes:]),
@@ -622,12 +603,6 @@ class Comparison:
         for name, a, b, ratio in self.rows:
             lines.append(f"{name:<22}{a:>14.6g}{b:>14.6g}{ratio:>10.4f}")
         return "\n".join(lines)
-
-    def ratio(self, metric: str) -> float:
-        for name, _, _, r in self.rows:
-            if name == metric:
-                return r
-        raise KeyError(metric)
 
     def write_csv(self, path: Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="\n") as fh:

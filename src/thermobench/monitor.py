@@ -1,21 +1,18 @@
-"""Estimator guard rails: checkpoints, physics checks, consensus testing.
+"""Estimator guard rails: checkpoints and physics checks.
 
-The estimator can fail silently in two ways: a parameter walks into a
-physically impossible region (non-positive RC product), or the covariance
-collapses around a wrong value. The monitor periodically snapshots the
-filter, flags physics violations so the harness can restore the last good
-snapshot, and compares independently seeded filters to detect false
-convergence.
+The estimator can walk a parameter into a physically impossible region
+(non-positive RC product). The monitor periodically snapshots the filter
+and flags physics violations so the harness can restore the last good
+snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
 from .network import ParameterVector
 from .ukf import UkfState
 
@@ -34,32 +31,11 @@ class PhysicsViolation:
 
 
 @dataclass(frozen=True)
-class ConsensusReport:
-    """Pairwise estimate distances in pooled standard deviations.
-
-    ``distances`` has shape (n_params, n_filters, n_filters); ``consensus``
-    is true when every pairwise distance is below the threshold.
-    """
-
-    param_names: tuple[str, ...]
-    distances: np.ndarray
-    threshold: float
-    consensus: bool
-
-    def outlier(self) -> int:
-        """Index of the filter with the largest mean distance to the rest."""
-        mean_dist = self.distances.mean(axis=(0, 2))
-        return int(np.argmax(mean_dist))
-
-
-@dataclass(frozen=True)
 class MonitorPolicy:
     """Automated reactions to the conditions a human operator would watch."""
 
     checkpoint_every: float = 360.0          # minutes of simulated time
     violation_floor_frac: float = 1e-6       # of the initial estimate
-    consensus_every: float = 1440.0
-    consensus_threshold: float = 3.0
     noise_boost_factor: float = 2.0
     noise_boost_duration: float = 720.0
 
@@ -74,11 +50,7 @@ def checkpoint(state: UkfState, time: float) -> Checkpoint:
 
 
 def restore(cp: Checkpoint) -> UkfState:
-    return UkfState(
-        cp.state.x_hat.copy(), cp.state.P.copy(),
-        cp.state.n_nodes, cp.state.n_p, cp.state.n_q,
-        cp.state.step, cp.state.converged,
-    )
+    return checkpoint(cp.state, cp.time).state
 
 
 def check_physics(
@@ -99,44 +71,6 @@ def check_physics(
         if value <= floor:
             violations.append(PhysicsViolation(names[k], float(value), float(floor)))
     return violations
-
-
-def consensus_test(
-    filters: Sequence[UkfState],
-    param_names: tuple[str, ...],
-    threshold: float = 3.0,
-) -> ConsensusReport:
-    """Compare parameter estimates across independently seeded filters.
-
-    The distance between filters a and b on a parameter is
-    |x_a - x_b| / sqrt(var_a + var_b); the bank agrees when every pair of
-    filters is within ``threshold`` on every parameter.
-    """
-    if len(filters) < 2:
-        raise ValidationError("consensus needs at least two filters")
-    ref = filters[0]
-    for f in filters[1:]:
-        if (f.n_nodes, f.n_p, f.n_q) != (ref.n_nodes, ref.n_p, ref.n_q):
-            raise ValidationError("filters have mismatched structure")
-    n_params = ref.n_p + ref.n_q
-    if len(param_names) != n_params:
-        raise ValidationError("parameter name count mismatch")
-    nf = len(filters)
-    means = np.array([np.concatenate([f.p, f.q]) for f in filters])
-    variances = []
-    for f in filters:
-        n = f.n_nodes
-        variances.append(np.abs(np.diag(f.P)[n:]))
-    variances = np.array(variances)
-    distances = np.zeros((n_params, nf, nf))
-    for a in range(nf):
-        for b in range(a + 1, nf):
-            pooled = np.sqrt(variances[a] + variances[b])
-            d = np.abs(means[a] - means[b]) / np.maximum(pooled, 1e-300)
-            distances[:, a, b] = d
-            distances[:, b, a] = d
-    consensus = bool(np.all(distances < threshold))
-    return ConsensusReport(param_names, distances, threshold, consensus)
 
 
 @dataclass
@@ -194,6 +128,3 @@ class Monitor:
     def noise_boost(self, time: float) -> float:
         """Process-noise multiplier after a restore, to escape the bad region."""
         return self.policy.noise_boost_factor if time < self.noise_boost_until else 1.0
-
-    def violation_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == "physics-violation")

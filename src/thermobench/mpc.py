@@ -477,24 +477,14 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
 
     u_flat = np.clip(sol.x[:nu], 0.0, 1.0)
     cost, T_pred, w = _closed_form_cost(problem, u_flat, G, d)
-    status = sol.status
-    if not sol.optimal and sol.gap <= 1e-6 * (1.0 + abs(cost)) and sol.max_violation <= 1e-7:
-        # near a cone apex (zero optimal slack) the dual certificate can lag
-        # while the primal is already converged; a vanished surrogate gap on
-        # a feasible point is accepted as solved
-        status = "optimal"
     return MpcSolution(
         u=u_flat.reshape(h, m),
         T_pred=T_pred,
         w=w,
         cost=cost,
-        status=status,
+        status=sol.status,
         iterations=sol.iterations,
-        kkt={
-            "gap": sol.gap,
-            "dual_residual": sol.dual_residual,
-            "max_violation": sol.max_violation,
-        },
+        kkt={"gap": sol.gap, "dual_residual": sol.dual_residual},
         problem=problem,
         point=(sol.x, sol.s, sol.z),
     )

@@ -258,6 +258,3 @@ class SimulationTrace:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def column(self, getter) -> np.ndarray:
-        return np.array([getter(r) for r in self.rows])

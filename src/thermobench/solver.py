@@ -137,7 +137,6 @@ class Solution:
     gap: float
     dual_residual: float
     primal_residual: float
-    max_violation: float
     refinements: int = 0   # Newton solves refined by a second solve with the factor
 
     @property
@@ -188,12 +187,6 @@ class _Cones:
         tail = u[self.m:] * u[self.m:]
         tail[self.heads] = 0.0
         return np.sqrt(self.sums @ tail)
-
-    def violation(self, u: np.ndarray) -> float:
-        """How far u is outside the cone: the largest of -u_i on the orthant
-        and ||u1|| - u0 on each cone; -inf for an empty cone."""
-        return max(float(np.max(-u[:self.m], initial=-np.inf)),
-                   float(np.max(self._tail_norms(u) - u[self.m + self.heads], initial=-np.inf)))
 
     def shift_inside(self, u: np.ndarray) -> np.ndarray:
         """u moved to at least one unit inside the cone: the orthant by one
@@ -507,7 +500,6 @@ def solve(
         gap=gap,
         dual_residual=dres,
         primal_residual=pres,
-        max_violation=cones.violation(prob.b - A @ x),
         refinements=refinements,
     )
 

@@ -319,19 +319,15 @@ class TestCli:
         with pytest.raises(ValidationError):
             load_scenario(path)
 
-
-class TestConsensusBank:
-    def test_bank_reports_on_cadence(self):
-        from thermobench.presets import acquisition_config
-
-        config = replace(
-            acquisition_config(seed=0, days=2, excitation=False, name="bank"),
-            consensus_bank=2,
-        )
-        report = run_scenario(config)
-        cons = [e for e in report.events if e.kind == "consensus"]
-        assert [e.time for e in cons] == [1440.0]
-        assert cons[0].detail in ("agree",) or cons[0].detail.startswith("disagree")
+    @pytest.mark.parametrize("key", ["consensus_bank", "contoller"])
+    def test_unknown_scenario_key_rejected(self, tmp_path, key):
+        # an unknown or misspelt key must not run silently with the default
+        doc = self.scenario_doc()
+        doc[key] = 2
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(path)
 
 
 def test_mpc_runs_do_not_share_warm_starts(tmp_path):

@@ -1,13 +1,10 @@
 import numpy as np
-import pytest
 
-from thermobench.errors import ValidationError
 from thermobench.monitor import (
     Monitor,
     MonitorPolicy,
     check_physics,
     checkpoint,
-    consensus_test,
     restore,
 )
 from thermobench.network import minimal_parameterization, two_zone_example
@@ -74,50 +71,6 @@ class TestCheckPhysics:
         assert [v.name for v in check_physics(bad, pv, pv)] == ["R12C1"]
 
 
-class TestConsensus:
-    def test_identical_filters_agree(self):
-        a, b = make_state(), make_state()
-        names = template().param_names()
-        report = consensus_test([a, b], names)
-        assert report.consensus
-        np.testing.assert_array_equal(report.distances, 0.0)
-
-    def test_distant_estimates_disagree(self):
-        # estimates 100 vs 200 with unit variances: distance 100/sqrt(2)
-        base = make_state()
-        x1 = base.x_hat.copy()
-        x2 = base.x_hat.copy()
-        x1[3], x2[3] = 100.0, 200.0
-        P = np.eye(base.dim)
-        a = UkfState(x1, P, 3, 4, 2)
-        b = UkfState(x2, P, 3, 4, 2)
-        report = consensus_test([a, b], template().param_names())
-        assert not report.consensus
-        assert report.distances[0, 0, 1] == pytest.approx(100.0 / np.sqrt(2.0))
-
-    def test_outlier_identified(self):
-        base = make_state()
-        P = np.eye(base.dim) * 0.5
-        good1 = UkfState(base.x_hat.copy(), P, 3, 4, 2)
-        good2 = UkfState(base.x_hat + 0.01, P, 3, 4, 2)
-        x_bad = base.x_hat.copy()
-        x_bad[3:7] *= 3.0
-        stuck = UkfState(x_bad, P, 3, 4, 2)
-        report = consensus_test([good1, stuck, good2], template().param_names())
-        assert not report.consensus
-        assert report.outlier() == 1
-
-    def test_structure_mismatch_rejected(self):
-        a = make_state()
-        b = UkfState(a.x_hat[:8], a.P[:8, :8], 3, 4, 1)
-        with pytest.raises(ValidationError):
-            consensus_test([a, b], template().param_names())
-
-    def test_needs_two_filters(self):
-        with pytest.raises(ValidationError):
-            consensus_test([make_state()], template().param_names())
-
-
 class TestMonitorLoop:
     def test_checkpoint_cadence(self):
         pv = template()
@@ -139,7 +92,7 @@ class TestMonitorLoop:
         bad = UkfState(x_bad, state.P, 3, 4, 2, step=9)
         recovered = mon.observe(bad, 15.0)
         assert recovered.x_hat[3] == state.x_hat[3]
-        assert mon.violation_count() == 1
+        assert [e.kind for e in mon.events].count("physics-violation") == 1
         assert mon.noise_boost(20.0) > 1.0
         assert mon.noise_boost(15.0 + 721.0) == 1.0
 

@@ -284,26 +284,20 @@ class TestSolveMpc:
     def test_stalled_solve_is_not_promoted(self, monkeypatch):
         # a converged solve reported as stalled stays stalled: the solver's
         # own stopping test alone decides "optimal", and mpc_step falls back
+        # to a zero command; the solution it returns is solve_mpc's
         real_solve = mpc_module.solve
 
         def stalled(*args, **kwargs):
             return replace(real_solve(*args, **kwargs), status="stalled")
 
-        model = table1_model()
-        cfg = MpcConfig(horizon=16)
-        args = (model, np.array([55.0, 55.0]), 10 * 60.0, OccupancySchedule(),
-                WeatherModel(mean_temp=40.0, daily_amp=0.0, fast_amp=0.0), cfg)
+        args = (table1_model(), np.array([55.0, 55.0]), 10 * 60.0, OccupancySchedule(),
+                WeatherModel(mean_temp=40.0, daily_amp=0.0, fast_amp=0.0), MpcConfig(horizon=16))
         u_real, _ = mpc_step(*args)
         assert np.any(u_real > 0.1)
         monkeypatch.setattr(mpc_module, "solve", stalled)
         u0, sol = mpc_step(*args)
         assert sol.status == "stalled" and not sol.converged
         np.testing.assert_array_equal(u0, 0.0)
-        r_min, r_max = flat_bounds(8, 2, 68.0, 72.0)
-        prob = build_mpc_problem(
-            model, np.array([55.0, 55.0]), np.full(8, 40.0), r_min, r_max, MpcConfig(horizon=8)
-        )
-        assert solve_mpc(prob).status == "stalled"
 
     def test_cold_start_max_effort_and_feasible(self):
         cfg = MpcConfig(horizon=8)

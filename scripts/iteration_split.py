@@ -11,7 +11,9 @@ solves, its applications (the residual check of each Newton solve), the
 products with the stacked constraint rows, and the step-length searches.
 "rest" is the solve time not inside any of them. It prints microseconds per
 IPM iteration for each part, as the median over the repeats, with the
-repeats' smallest total, and iterations per solve. ``--tree`` measures
+repeats' smallest total, and iterations per solve; then "setup", the
+microseconds per solve spent in ``mpc.solve_mpc`` outside ``solver.solve``
+(building or reusing the program, the warm start, the cost). ``--tree`` measures
 another checkout, for example one extracted by ``git archive``; the script
 knows the row layout before and after ``solver._stack`` went. Each wrapper
 adds a clock read or two per call, under a microsecond, to the figures; the
@@ -84,7 +86,17 @@ def install(timers, counts, inside):
             return sol
         return wrapped
 
+    def solve_mpc_wrap(fn):
+        def wrapped(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                timers["solve_mpc"] += perf_counter() - start
+        return wrapped
+
     patch(mpc, "solve", solve_wrap)
+    patch(mpc, "solve_mpc", solve_mpc_wrap)
     patch(mpc, "_condensed_kkt", hook_factory)
     patch(solver, "cho_factor", lambda fn: timed("cholesky", fn))
     patch(solver._Cones, "max_step", lambda fn: timed("step_searches", fn))
@@ -121,7 +133,8 @@ def one_pass(workload: str, seed: int) -> dict:
     us["rest"] = 1e6 * (timers["total"] - sum(timers[name] for name in inner)) / its
     us["total"] = 1e6 * timers["total"] / its
     per_it = {name: counts[name] / its for name in inner}
-    return {"us": us, "calls_per_iteration": per_it,
+    setup = 1e6 * (timers["solve_mpc"] - timers["total"]) / counts["solves"]
+    return {"us": us, "setup_us_per_solve": setup, "calls_per_iteration": per_it,
             "iterations_per_solve": its / counts["solves"], "solves": counts["solves"]}
 
 
@@ -145,6 +158,8 @@ def main(argv=None) -> int:
         calls = first["calls_per_iteration"].get(name)
         print(f"{name:<16}{median:>13.1f}{'' if calls is None else f'{calls:>17.2f}'}")
     print(f"{'min total':<16}{min(r['us']['total'] for r in runs):>13.1f}")
+    setup = statistics.median(r["setup_us_per_solve"] for r in runs)
+    print(f"{'setup':<16}{setup:>13.1f} us/solve, outside solver.solve")
     return 0
 
 

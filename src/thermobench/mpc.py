@@ -82,6 +82,7 @@ class MpcSolution:
     kkt: dict
     problem: MpcProblem    # the problem this solves
     point: Optional[tuple] = None   # the solver's final (x, s, z); None when it failed
+    horizon: Optional[Horizon] = None   # the structure of the problem's program
 
     @property
     def converged(self) -> bool:
@@ -119,15 +120,25 @@ def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray, forecast: np.nd
     Toeplitz structure of Phi^(k-j) Gamma_ext. The third result holds the
     powers Phi^0..Phi^h that both are built from, (h+1, n, n).
     """
+    G, forcing, powers = _toeplitz_maps(model, h)
+    return G, _free_response(powers, forcing, T0, forecast), powers
+
+
+def _toeplitz_maps(model: DiscreteDynamics, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G, the forecast's Toeplitz map and the powers of ``prediction_matrices``."""
     n = model.n_internal
     powers = np.empty((h + 1, n, n))
     powers[0] = np.eye(n)
     for k in range(1, h + 1):
         powers[k] = model.Phi @ powers[k - 1]
-    G = _block_toeplitz(powers[:h] @ model.Gamma_ctrl)
-    forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast[:h].reshape(-1)
-    d = (powers[1:] @ T0).reshape(-1) + forced
-    return G, d, powers
+    return (_block_toeplitz(powers[:h] @ model.Gamma_ctrl),
+            _block_toeplitz(powers[:h] @ model.Gamma_ext), powers)
+
+
+def _free_response(powers, forcing, T0, forecast) -> np.ndarray:
+    """d, the temperatures T(1..h) from T0 and the forecast with u = 0."""
+    h = len(powers) - 1
+    return (powers[1:] @ T0).reshape(-1) + forcing @ forecast[:h].reshape(-1)
 
 
 def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
@@ -139,57 +150,91 @@ def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     return rows.transpose(0, 1, 3, 2).reshape(h * n, h * m)
 
 
-def _condense(problem: MpcProblem):
-    """The horizon problem over x = (u, w, t1, t2) with its structured Newton hook.
+@dataclass(frozen=True)
+class Horizon:
+    """What the horizon problems of one model and config share, built once
+    and carried from step to step on ``MpcSolution``: the maps of
+    ``prediction_matrices``, the rows (each problem gives its own right
+    sides), the cost, the cone sizes, the Newton hook with its buffers, and
+    the groups of x and of the rows as ``_shifted`` takes them."""
 
-    u are the controls, w the band slacks, t1 the epigraph of the slack RMS
-    cone ||w|| <= t1 and t2 that of the terminal cone ||T(h) - r(h)|| <= t2.
-    Returns the program, G, d and the groups of x and of the solver's rows
-    (the linear rows, then the cones' rows) as ``_shifted`` takes them.
-    """
+    G: np.ndarray
+    forcing: np.ndarray
+    powers: np.ndarray
+    rows: "HorizonRows"
+    c: np.ndarray
+    cones: tuple
+    kkt: object
+    groups: tuple
+
+
+def _condense(problem: MpcProblem, horizon: Optional[Horizon] = None):
+    """The horizon problem over x = (u, w, t1, t2) with its structured Newton
+    hook, on ``horizon`` when given: one built for an earlier problem of the
+    same model and config. Returns the program, d and the horizon."""
+    if horizon is None:
+        horizon = _horizon(problem)
+    d = _free_response(horizon.powers, horizon.forcing, problem.T0, problem.forecast)
+    prog = ConicProgram(c=horizon.c, A=horizon.rows, b=np.concatenate(_right_sides(problem, d)),
+                        cones=horizon.cones, kkt=horizon.kkt)
+    return prog, d, horizon
+
+
+def _right_sides(problem: MpcProblem, d: np.ndarray) -> list:
+    """The right sides b of the horizon rows, one per group of ``_horizon``."""
+    cfg, n = problem.config, problem.model.n_internal
+    nu, nw = cfg.horizon * problem.model.Gamma_ctrl.shape[1], len(d)
+    pinned = [[1.0], [0.0]] if cfg.Q_togo == 0 else []
+    terminal = [[0.0], d[-n:] - problem.r[-1]] if cfg.Q_togo > 0 else []
+    return [np.zeros(nu), np.ones(nu), np.zeros(nw), d - problem.r_min.reshape(-1),
+            problem.r_max.reshape(-1) - d, *pinned, [0.0], np.zeros(nw), *terminal]
+
+
+def _horizon(problem: MpcProblem) -> Horizon:
+    """The structure of ``problem``'s program: u are the controls, w the band
+    slacks, t1 the epigraph of the slack RMS cone ||w|| <= t1 and t2 that of
+    the terminal cone ||T(h) - r(h)|| <= t2."""
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
     m = problem.model.Gamma_ctrl.shape[1]
-    G, d, powers = prediction_matrices(problem.model, problem.T0, problem.forecast, h)
+    G, forcing, powers = _toeplitz_maps(problem.model, h)
     nu, nw = h * m, h * n
     nvar = nu + nw + 2
-
-    r_min = problem.r_min.reshape(-1)
-    r_max = problem.r_max.reshape(-1)
+    b = iter(_right_sides(problem, _free_response(powers, forcing, problem.T0, problem.forecast)))
 
     # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
     # T = G u + d
     iu, iw = np.arange(nu), np.arange(nw)
     rows = HorizonRows(G, n, nvar)
-    rows.unit(iu, -1.0, np.zeros(nu), m)
-    rows.unit(iu, 1.0, np.ones(nu), m)
-    rows.unit(nu + iw, -1.0, np.zeros(nw), n)
-    rows.through_g(-1.0, d - r_min, nu + iw, -1.0)
-    rows.through_g(1.0, r_max - d, nu + iw, -1.0)
+    rows.unit(iu, -1.0, next(b), m)
+    rows.unit(iu, 1.0, next(b), m)
+    rows.unit(nu + iw, -1.0, next(b), n)
+    rows.through_g(-1.0, next(b), nu + iw, -1.0)
+    rows.through_g(1.0, next(b), nu + iw, -1.0)
     if cfg.Q_togo == 0:
         # a zero-cost epigraph variable would make the problem degenerate,
         # so the terminal cone exists only when its weight does; without it
         # the unused t2 is pinned: 0 <= t2 <= 1
-        rows.unit([nvar - 1], 1.0, [1.0])
-        rows.unit([nvar - 1], -1.0, [0.0])
+        rows.unit([nvar - 1], 1.0, next(b))
+        rows.unit([nvar - 1], -1.0, next(b))
 
     # the cones' rows, head first: the RMS cone's (t1, w), then the terminal
     # cone's (t2, T(h) - r(h))
-    rows.unit([nu + nw], -1.0, [0.0])
-    rows.unit(nu + iw, -1.0, np.zeros(nw), n)
+    rows.unit([nu + nw], -1.0, next(b))
+    rows.unit(nu + iw, -1.0, next(b), n)
     cones = (1 + nw,)
     if cfg.Q_togo > 0:
-        rows.unit([nvar - 1], -1.0, [0.0])
-        rows.through_g(-1.0, d[-n:] - problem.r[-1], start=nw - n)
+        rows.unit([nvar - 1], -1.0, next(b))
+        rows.through_g(-1.0, next(b), start=nw - n)
         cones += (1 + n,)
 
     c = np.zeros(nvar)
     c[:nu] = cfg.R
     c[nu + nw] = cfg.Q / np.sqrt(n * h)
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
-    prog = ConicProgram(c=c, A=rows, b=rows.b, cones=cones, kkt=_condensed_kkt(G, powers))
-    return prog, G, d, ([(nu, m), (nw, n), (2, 0)], rows.groups)
+    return Horizon(G, forcing, powers, rows, c, cones, _condensed_kkt(G, powers),
+                   ([(nu, m), (nw, n), (2, 0)], rows.groups))
 
 
 class HorizonRows(RowOperator):
@@ -207,6 +252,7 @@ class HorizonRows(RowOperator):
         self.b = np.empty(0)
         self.groups: list = []
         self.row, self.col, self.val = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+        self._row_max = None
 
     def _add(self, b, stage: int, rows, cols, vals) -> None:
         """Rows b at the end, with the entries vals at (rows, cols), rows
@@ -217,6 +263,7 @@ class HorizonRows(RowOperator):
         self.b = np.append(self.b, b)
         self.shape = (len(self.b), self.shape[1])
         self.groups.append((len(b), stage))
+        self._row_max = None
 
     def unit(self, cols, sign: float, b, stage: int = 0) -> None:
         """sign * x[col] <= b, one row per column, ``stage`` rows per step."""
@@ -246,10 +293,12 @@ class HorizonRows(RowOperator):
         return y[:nvar]
 
     def row_max(self):
-        col_max = np.concatenate([np.ones(self.shape[1]), np.abs(self.G).max(axis=1, initial=0.0)])
-        out = np.zeros(self.shape[0])
-        np.maximum.at(out, self.row, np.abs(self.val) * col_max[self.col])
-        return out
+        # kept: the solves of every problem that shares these rows ask again
+        if self._row_max is None:
+            col_max = np.concatenate([np.ones(self.shape[1]), np.abs(self.G).max(axis=1, initial=0.0)])
+            self._row_max = np.zeros(self.shape[0])
+            np.maximum.at(self._row_max, self.row, np.abs(self.val) * col_max[self.col])
+        return self._row_max
 
     def toarray(self):
         nvar = self.shape[1]
@@ -458,25 +507,29 @@ def _warm_start(previous: Optional[MpcSolution], problem: MpcProblem, groups: tu
 
 def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> MpcSolution:
     """Globally solve the horizon problem; soft slacks guarantee feasibility.
-    The solve starts warm from ``previous`` (see ``_warm_start``)."""
+    The solve starts warm from ``previous`` (see ``_warm_start``), and its
+    program shares ``previous``'s horizon when both problems are of the same
+    model object and config."""
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
     m = problem.model.Gamma_ctrl.shape[1]
-    prog, G, d, groups = _condense(problem)
-    nu, nw = h * m, h * n
+    same = (previous is not None and previous.problem.model is problem.model
+            and previous.problem.config == cfg)
+    prog, d, horizon = _condense(problem, previous.horizon if same else None)
+    nu = h * m
 
     try:
-        sol = solve(prog, _warm_start(previous, problem, groups),
+        sol = solve(prog, _warm_start(previous, problem, horizon.groups),
                     tol=cfg.solver_tol, max_iter=cfg.max_iter)
     except SolverFailure:
         return MpcSolution(
             u=np.zeros((h, m)), T_pred=d.reshape(h, n), w=np.zeros((h, n)),
-            cost=np.inf, status="failed", iterations=0, kkt={}, problem=problem,
+            cost=np.inf, status="failed", iterations=0, kkt={}, problem=problem, horizon=horizon,
         )
 
     u_flat = np.clip(sol.x[:nu], 0.0, 1.0)
-    cost, T_pred, w = _closed_form_cost(problem, u_flat, G, d)
+    cost, T_pred, w = _closed_form_cost(problem, u_flat, horizon.G, d)
     return MpcSolution(
         u=u_flat.reshape(h, m),
         T_pred=T_pred,
@@ -487,6 +540,7 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
         kkt={"gap": sol.gap, "dual_residual": sol.dual_residual},
         problem=problem,
         point=(sol.x, sol.s, sol.z),
+        horizon=horizon,
     )
 
 

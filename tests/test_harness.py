@@ -351,3 +351,29 @@ def test_mpc_runs_do_not_share_warm_starts(tmp_path):
     first, third = ((tmp_path / name / "report.csv").read_text() for name in ("a", "c"))
     assert first == third
     assert sum(line.startswith("sha256_") for line in first.splitlines()) >= 2
+
+
+def test_mpc_runs_do_not_share_horizons(monkeypatch):
+    """Each run builds its own horizon structure: within a run every solve
+    of the frozen model shares one, and two runs of one config in one
+    process share none."""
+    config = ScenarioConfig(
+        name="mpc-week", network=two_zone_example(), weather=comparison_weather(),
+        controller="mpc", estimator=False, duration_steps=4, seed=1, force_mpc=True,
+        frozen_params=minimal_parameterization(two_zone_example()),
+    )
+    horizons = []
+    solve_mpc = mpc.solve_mpc
+
+    def recording(problem, previous=None):
+        sol = solve_mpc(problem, previous)
+        horizons[-1].append(sol.horizon)
+        return sol
+
+    monkeypatch.setattr(mpc, "solve_mpc", recording)
+    for _ in range(2):
+        horizons.append([])
+        run_scenario(config)
+    first, second = ({id(h) for h in run} for run in horizons)
+    assert len(horizons[0]) == 4 and len(first) == len(second) == 1
+    assert not first & second

@@ -145,7 +145,8 @@ def test_horizon_rows_match_dense(h, dt, q_togo):
     cfg = MpcConfig(horizon=h, Q_togo=q_togo)
     problem = build_mpc_problem(table1_model(dt), np.array([66.0, 71.0]),
                                 rng.uniform(10.0, 50.0, size=h), r_min, r_max, cfg)
-    prog, G, d, _ = _condense(problem)
+    prog, d, horizon = _condense(problem)
+    G = horizon.G
     nw, nu = G.shape
     nvar = nu + nw + 2
     I_u, I_w = np.eye(nu, nvar), np.eye(nw, nvar, nu)
@@ -521,7 +522,7 @@ def test_shifted_start_moves_each_horizon_group(true_model_week_seed29):
     _, previous = solved[450.0]
     nxt, _ = solved[465.0]
     x, s, z = previous.point
-    groups = _condense(nxt)[3]
+    groups = _condense(nxt)[2].groups
     h, n, m = 96, 2, 2
     nu, nw = h * m, h * n
     x1, s1, z1 = _warm_start(previous, nxt, groups)
@@ -547,7 +548,28 @@ def test_shifted_start_moves_each_horizon_group(true_model_week_seed29):
     assert _warm_start(replace(previous, status="stalled"), nxt, groups) is None
     short = replace(nxt, config=replace(nxt.config, horizon=48), forecast=nxt.forecast[:48],
                     r_min=nxt.r_min[:48], r_max=nxt.r_max[:48], r=nxt.r[:48])
-    assert _warm_start(previous, short, _condense(short)[3]) is None
+    assert _warm_start(previous, short, _condense(short)[2].groups) is None
+
+
+def test_horizon_is_shared_only_by_the_same_model_and_config(true_model_week_seed29):
+    """A solve shares the previous solution's horizon when its model is the
+    same object and its config equal, and solves bit for bit as on a fresh
+    build; a new model object with equal arrays, or Q_togo 1 -> 0, rebuilds."""
+    _, solved = true_model_week_seed29
+    _, previous = solved[450.0]
+    nxt, _ = solved[465.0]
+    shared = solve_mpc(nxt, previous)
+    assert shared.horizon is previous.horizon
+    twin = replace(nxt.model, Phi=nxt.model.Phi.copy(), Gamma_ext=nxt.model.Gamma_ext.copy(),
+                   Gamma_ctrl=nxt.model.Gamma_ctrl.copy())
+    fresh = solve_mpc(replace(nxt, model=twin), previous)
+    assert fresh.horizon is not previous.horizon
+    assert fresh.iterations == shared.iterations
+    for got, ref in zip((fresh.u, *fresh.point), (shared.u, *shared.point)):
+        assert np.array_equal(got, ref)
+    no_togo = solve_mpc(replace(nxt, config=replace(nxt.config, Q_togo=0.0)), previous)
+    assert no_togo.horizon is not previous.horizon
+    assert no_togo.horizon.cones == (1 + 96 * 2,)
 
 
 def smoothed_cost(problem, G, d, eps=1e-7):
@@ -585,7 +607,8 @@ def test_ipm_matches_full_horizon_oracle(true_model_week_seed29):
     sample = sorted(set(times[::6]) | {450.0, 465.0})
     for t in sample:
         problem, sol = solved[t]
-        _, G, d, _ = _condense(problem)
+        _, d, horizon = _condense(problem)
+        G = horizon.G
         f = smoothed_cost(problem, G, d)
         for start in (sol.u.reshape(-1), np.zeros(G.shape[1])):
             res = minimize(f, start, jac=True, method="L-BFGS-B",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
-import math
 
 import numpy as np
 
@@ -84,11 +83,17 @@ class WeatherModel:
         )
         return self.mean_temp + daily + fast + self.bias(t)
 
-    def noise(self, t: float) -> float:
-        if self.noise_std == 0.0:
-            return 0.0
-        day, minute = divmod(math.floor(t), int(MINUTES_PER_DAY))
-        return float(_day_noise(self.seed, day)[minute] * self.noise_std)
+    def noise(self, t):
+        """Noise at time t (minutes). Accepts scalar or array time; an array
+        reads each day's block once."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        if self.noise_std != 0.0:
+            day, minute = np.divmod(np.floor(t).astype(int), int(MINUTES_PER_DAY))
+            for k in np.unique(day).tolist():
+                at = day == k
+                out[at] = _day_noise(self.seed, k)[minute[at]] * self.noise_std
+        return out if t.ndim else float(out)
 
 
 def external_temperature(w: WeatherModel, t: float) -> float:
@@ -204,8 +209,7 @@ class PlantModel:
         # each minute's ambient value is drawn once: a sub-step's end value
         # is the next sub-step's input
         times = state.clock + self.substep * np.arange(n_sub + 1)
-        noise = np.array([weather.noise(t) for t in times.tolist()])
-        ambient = weather.deterministic(times) + noise
+        ambient = weather.deterministic(times) + weather.noise(times)
         t_ext = np.repeat(ambient[:, None], len(self._ext_pos), axis=1)
         drive = d.Gamma_ctrl @ u
         t_int = state.true_temps[self._int_pos]

@@ -65,6 +65,18 @@ class TestWeather:
         third = [acquisition_weather(noise_std=0.5, seed=10).noise(t) for t in minutes]
         assert np.all(np.array(third) != np.array(forward))
 
+    def test_noise_of_an_array_matches_scalar_lookups(self):
+        """An array of times reads the same draws bit for bit as one scalar
+        lookup per time, across the day boundaries at minutes 1440 and 2880."""
+        w = acquisition_weather(noise_std=0.5, seed=9)
+        for start in (1430.0, 2870.25):
+            times = start + np.arange(21)
+            scalar = [w.noise(t) for t in times.tolist()]
+            assert np.array_equal(w.noise(times), scalar)
+            assert isinstance(scalar[0], float)
+        assert np.array_equal(acquisition_weather().noise(times), np.zeros(21))
+        assert acquisition_weather().noise(1439.0) == 0.0
+
     def test_bias_schedule_applies(self):
         w = WeatherModel(mean_temp=30.0, daily_amp=0.0, fast_amp=0.0,
                          bias_schedule=((0.0, 5.0), (100.0, -5.0)))
@@ -148,11 +160,14 @@ class TestPlant:
             temps, clock = reference_step(plant, state, u, w, 15.0)
             monkeypatch.setattr(WeatherModel, "noise",
                                 lambda self, t: draws.append(t) or noise(self, t))
+            start = state.clock
             state = plant.step(state, u, w, 15.0)
             monkeypatch.setattr(WeatherModel, "noise", noise)
             assert np.array_equal(state.true_temps, temps)
             assert state.clock == clock
-            assert len(draws) == 15 + 1
+            # one lookup covers the step's 15 + 1 minutes
+            assert len(draws) == 1
+            np.testing.assert_array_equal(draws[0], start + np.arange(15 + 1))
             draws.clear()
 
     def test_equilibrium(self):

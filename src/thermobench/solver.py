@@ -78,8 +78,8 @@ class ConicProgram:
 # with A_l the linear rows of ``A`` and wts one weight per row of them, A_k
 # the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
 # W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
-# returns M x; the solver refines once with the residual r - apply(solve(r))
-# when that exceeds 1e-10 ||r||. Factor through ``factor_newton``, which
+# returns M x; for each direction a step is taken along, the solver refines
+# once with the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor through ``factor_newton``, which
 # reads only the lower triangle and returns the solve with the factor, so
 # the regularization and its failure are the solver's.
 KktHook = Callable[
@@ -156,7 +156,9 @@ class _Cones:
     share; ``scale`` computes its Nesterov-Todd scaling W: sqrt(s / z) on
     the orthant and beta (2 v v' - J) on each cone. W and W^-1 are each a
     diagonal plus, on each cone, a rank-1 term; ``apply`` applies one of
-    them or its square.
+    them or its square. ``ldiv`` divides by the scaled point lambda = W z
+    in the Jordan algebra: it solves lambda o x = u exactly, which on a
+    cone is not lambda^-1 o u, since the product does not associate.
     """
 
     def __init__(self, m: int, dims: list[int]):
@@ -228,7 +230,7 @@ class _Cones:
 
     def scale(self) -> np.ndarray:
         """Compute W at the iterate ``interior`` kept; returns lambda = W z
-        and keeps its Jordan inverse for ``ldiv``."""
+        and keeps what ``ldiv`` divides by."""
         s, z = self.u
         m = self.m
         terms = self._scale_cones(s[m:], z[m:]) if self.dims else ((None, None),) * 2
@@ -238,12 +240,10 @@ class _Cones:
         self.W = (w_diag, w_diag * w_diag, *terms[0])
         self.Winv = (winv_diag, winv_diag * winv_diag, *terms[1])
         lam = self.apply(self.W, z)
-        # on a cone, the inverse is J lam / (lam' J lam)
-        self.lam_inv = np.empty_like(lam)
-        self.lam_inv[:m] = 1.0 / lam[:m]
+        self.lam, self.inv_lam = lam, 1.0 / lam[:m]
         if self.dims:
             lam_c = lam[m:]
-            self.lam_inv[m:] = self.jsign * lam_c / self._jdot(lam_c, lam_c)[self.block]
+            self.lam_jj, self.lam_heads = self._jdot(lam_c, lam_c), lam_c[self.heads][self.block]
         return lam
 
     def _scale_cones(self, s: np.ndarray, z: np.ndarray) -> tuple:
@@ -295,8 +295,19 @@ class _Cones:
         return out
 
     def ldiv(self, u: np.ndarray) -> np.ndarray:
-        """lambda^-1 o u, for the lambda of the last ``scale``."""
-        return self.prod(self.lam_inv, u)
+        """The x with lambda o x = u, for the lambda of the last ``scale``:
+        u / lambda on the orthant, and on each cone the solve with the arrow
+        matrix of lambda, x0 = (lambda0 u0 - lambda1'u1) / (lambda'J lambda)
+        and x1 = (u1 - x0 lambda1) / lambda0."""
+        m = self.m
+        out = np.empty_like(u)
+        out[:m] = self.inv_lam * u[:m]
+        if self.dims:
+            lam_c, u_c = self.lam[m:], u[m:]
+            x0 = self._jdot(lam_c, u_c) / self.lam_jj
+            out[m:] = (u_c - x0[self.block] * lam_c) / self.lam_heads
+            out[m + self.heads] = x0
+        return out
 
     def max_step(self, du: np.ndarray) -> float:
         """Largest a <= 1 with both rows of u + a du in the cone, from the
@@ -427,32 +438,36 @@ def solve(
         mu = gap / cones.degree
         kkt_solve, kkt_apply = kkt(sq * cones.Winv[1][:m], cones.scalings())
 
-        def newton(tgt):
+        def newton(tgt, refine=True):
             """Direction (dx, [ds; dz]) for targets tgt = desired
             lambda o (W^-T ds + W dz).
 
-            Eliminations: ds = W d_c - W^2 dz with d_c = lambda^-1 o tgt, and
-            dz = W^-2 (G dx + rz + W d_c), leaving G' W^-2 G dx = rhs.
+            Eliminations: ds = W d_c - W^2 dz with d_c the solution of
+            lambda o d_c = tgt, and dz = W^-2 (G dx + rz + W d_c), leaving
+            G' W^-2 G dx = rhs. ``refine`` checks the solve's residual, as
+            the directions that a step is taken along do.
             """
             nonlocal refinements
             w_dc = cones.apply(cones.W, cones.ldiv(tgt))
             rhs = -rx - Gt(cones.apply(cones.Winv, rz + w_dc, twice=True))
             dx = kkt_solve(rhs)
-            # one pass of iterative refinement where the residual shows
-            # factorization error: near the boundary the W^-2 recovery of dz
-            # amplifies it
-            res = rhs - kkt_apply(dx)
-            if res @ res > 1e-20 * (rhs @ rhs):
-                dx += kkt_solve(res)
-                refinements += 1
+            if refine:
+                # one pass of iterative refinement where the residual shows
+                # factorization error: near the boundary the W^-2 recovery
+                # of dz amplifies it
+                res = rhs - kkt_apply(dx)
+                if res @ res > 1e-20 * (rhs @ rhs):
+                    dx += kkt_solve(res)
+                    refinements += 1
             dsz = np.empty_like(sz)
             dsz[1] = cones.apply(cones.Winv, G(dx) + rz + w_dc, twice=True)
             np.subtract(w_dc, cones.apply(cones.W, dsz[1], twice=True), out=dsz[0])
             return dx, dsz
 
-        # predictor (affine scaling) direction
+        # predictor (affine scaling) direction: it only sets sigma and the
+        # second-order term, so its solve is not refined
         lam_sq = cones.prod(lam, lam)
-        _, dsza = newton(-lam_sq)
+        _, dsza = newton(-lam_sq, refine=False)
         a_aff = min(1.0, 0.999 * cones.max_step(dsza))
         s_aff, z_aff = sz + a_aff * dsza
         sigma = min(max((max(float(s_aff @ z_aff), 0.0) / gap) ** 3, 1e-6), 0.9999)

@@ -64,6 +64,38 @@ def test_step_search_stops_at_the_boundary(case):
         assert abs(nearest) <= 1e-9
 
 
+@st.composite
+def scaled_points(draw):
+    """An orthant and cones of sizes 2-8 with a point lambda strictly inside,
+    some cones close to the boundary, and a right side u."""
+    m = draw(st.integers(0, 6))
+    dims = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cones = _Cones(m, dims)
+    lam = np.empty(m + sum(dims))
+    lam[:m] = np.exp(rng.uniform(-6.0, 3.0, size=m))
+    for head, dim in zip(cones.heads, cones.dims):
+        tail = rng.normal(size=dim - 1) * np.exp(rng.uniform(-3.0, 3.0))
+        gap = np.exp(rng.uniform(-6.0, 1.0)) * (1.0 + np.linalg.norm(tail))
+        lam[m + head:m + head + dim] = np.concatenate([[np.linalg.norm(tail) + gap], tail])
+    return cones, lam, rng.normal(size=lam.shape)
+
+
+@PROPERTY
+@given(scaled_points())
+def test_ldiv_solves_the_jordan_product(case):
+    """``ldiv`` returns the x with lambda o x = u, for the lambda that
+    ``scale`` keeps: prod(lambda, ldiv(u)) equals u to 1e-12 relative to the
+    terms of the product."""
+    cones, point, u = case
+    # s = z gives W = I, so lambda is the point itself up to rounding
+    assert cones.interior(np.stack([point, point]))
+    lam = cones.scale()
+    x = cones.ldiv(u)
+    scale = np.abs(cones.prod(np.abs(lam), np.abs(x))) + np.abs(u)
+    assert np.all(np.abs(cones.prod(lam, x) - u) <= 1e-12 * scale)
+
+
 def random_scaling(rng, size):
     """(beta, v) with beta > 0 and v'Jv = 1, as a Nesterov-Todd scaling."""
     v1 = rng.normal(size=size - 1) * rng.uniform(0.1, 2.0)

@@ -329,14 +329,15 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
     padded = np.zeros((2 * h - 1) * n)
     hankel = sliding_window_view(padded, h * n)[::n]
     to_end = powers[h - 1::-1]                     # Phi^(h-1-i) for each i
+    to_end_t = np.ascontiguousarray(to_end.transpose(0, 2, 1))
     Gamma = G[:n, :m]
     G_rows = G.reshape(h, n, nu)
 
     def gram(out, alpha, W=None):
         padded[:nw] = alpha
-        P = (hankel @ outer).reshape(h, n, n)
+        P = np.dot(hankel, outer).reshape(h, n, n)
         if W is not None:
-            P += to_end.transpose(0, 2, 1) @ W @ to_end
+            P += to_end_t @ W @ to_end
         np.matmul((P @ Gamma).transpose(0, 2, 1), G_rows, out=out.reshape(h, m, nu))
 
     return gram
@@ -367,11 +368,11 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
     n = powers.shape[1]
     G_h = G[-n:]
     gram = _weighted_gram(G, powers)
-    jsign = np.ones(n + 1)
-    jsign[1:] = -1.0
+    J = np.diag(np.append(1.0, -np.ones(n)))
     S = np.empty((nu + 1, nu + 1))
     diag_u = np.einsum("ii->i", S)[:nu]
     rank1 = np.zeros(nu + 1)
+    tg = np.empty(n + 1)
 
     def kkt(wts, scalings):
         s12 = wts[:nu] + wts[nu:2 * nu]
@@ -397,8 +398,8 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
         W2 = None
         if len(scalings) > 1:
             beta2, v2 = scalings[1]
-            Jv2 = jsign * v2
-            Winv = (2.0 * np.outer(Jv2, Jv2) - np.diag(jsign)) / beta2
+            Jv2 = J.diagonal() * v2
+            Winv = (2.0 * (Jv2[:, None] * Jv2) - J) / beta2
             W2 = Winv @ Winv
             S[nu, :nu] = G_h.T @ W2[1:, 0]
             S[nu, nu] = pinned + W2[0, 0]
@@ -418,7 +419,10 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             # delta G u for (w, t1)
             r_w, r_t = r[nu:nu + nw], r[-2]
             k = l00 * float(g @ r_w) + l01 * h0 * r_t
-            x_a = solve_s(np.append(r[:nu] - G.T @ (d_inv * r_w - k * dg), r[-1]))
+            rhs = np.empty(nu + 1)
+            np.subtract(r[:nu], G.T @ (d_inv * r_w - k * dg), out=rhs[:nu])
+            rhs[nu] = r[-1]
+            x_a = solve_s(rhs)
             y = r_w - delta * (G @ x_a[:nu])
             sig, tau = float(g @ y), h0 * r_t
             out = np.empty_like(r)
@@ -438,7 +442,8 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             out[-1] = pinned * t2
             if W2 is not None:
                 # the terminal cone's term reaches u through G_h, the last rows of G
-                q = W2 @ np.append(t2, Gu[-n:])
+                tg[0], tg[1:] = t2, Gu[-n:]
+                q = W2 @ tg
                 y[-n:] += q[1:]
                 out[-1] += q[0]
             out[:nu] = G.T @ y + s12 * u

@@ -166,11 +166,13 @@ class _Cones:
         self.m = m
         self.dims = dims
         self.heads = np.cumsum(sizes) - sizes                # within the cone part
+        self.at_heads = m + self.heads                       # within the whole vector
         self.block = np.repeat(np.arange(len(dims)), sizes)
         self.sums = (self.block == np.arange(len(dims))[:, None]).astype(float)
         self.jsign = -np.ones(int(sizes.sum()))
         self.jsign[self.heads] = 1.0
         self.unit = np.concatenate([np.ones(m), (self.jsign > 0).astype(float)])
+        self.unit_c, self.minus_j = self.unit[m:], -self.jsign
         self.degree = m + len(dims)
         self.beta = np.empty(0)
 
@@ -193,7 +195,7 @@ class _Cones:
     def shift_inside(self, u: np.ndarray) -> np.ndarray:
         """u moved to at least one unit inside the cone: the orthant by one
         common shift, each second-order cone through its head entry."""
-        m, heads = self.m, self.m + self.heads
+        m, heads = self.m, self.at_heads
         u = u.copy()
         if m:
             u[:m] += max(0.0, 1.0 - float(np.min(u[:m])))
@@ -206,7 +208,7 @@ class _Cones:
         z_i rises until s_i z_i >= mu, both to sqrt(mu) when both are below
         it; each cone's s and z rise through their heads until u0 - ||u1||
         >= sqrt(mu)."""
-        m, heads, root = self.m, self.m + self.heads, np.sqrt(mu)
+        m, heads, root = self.m, self.at_heads, np.sqrt(mu)
         s_o = np.maximum(s[:m], mu / np.maximum(z[:m], root))
         z_o = np.maximum(z[:m], mu / np.maximum(s[:m], root))
         s, z = s.copy(), z.copy()
@@ -221,9 +223,9 @@ class _Cones:
         reciprocals of their orthant entries and cone heads, and u'Ju on
         each cone."""
         m = self.m
-        heads = u[:, m + self.heads]
+        heads = u[:, self.at_heads]
         uju = self._jdot(u[:, m:], u[:, m:])
-        if not all(part.size == 0 or part.min() > 0 for part in (u[:, :m], heads, uju)):
+        if not ((m == 0 or u[:, :m].min() > 0) and (not self.dims or heads.min() > 0 and uju.min() > 0)):
             return False
         self.u, self.inv_orthant, self.inv_heads, self.uju = u, 1.0 / u[:, :m], 1.0 / heads, uju
         return True
@@ -233,9 +235,9 @@ class _Cones:
         and keeps what ``ldiv`` divides by."""
         s, z = self.u
         m = self.m
-        terms = self._scale_cones(s[m:], z[m:]) if self.dims else ((None, None),) * 2
+        terms = self._scale_cones() if self.dims else ((None, None),) * 2
         # on a cone W = beta (2 v v' - J), whose diagonal part is -beta J
-        w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), -self.jsign * self.beta[self.block]])
+        w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), self.minus_j * self.beta[self.block]])
         winv_diag = 1.0 / w_diag
         self.W = (w_diag, w_diag * w_diag, *terms[0])
         self.Winv = (winv_diag, winv_diag * winv_diag, *terms[1])
@@ -246,18 +248,17 @@ class _Cones:
             self.lam_jj, self.lam_heads = self._jdot(lam_c, lam_c), lam_c[self.heads][self.block]
         return lam
 
-    def _scale_cones(self, s: np.ndarray, z: np.ndarray) -> tuple:
+    def _scale_cones(self) -> tuple:
         """On each cone the scaling point satisfies P(w) z = s, and W is its
         square root, built from the Jordan square root of the normalized
         point. Keeps beta and v of each cone and returns the cone terms of
         W and W^-1 as ``apply`` takes them."""
         blk, jsign = self.block, self.jsign
         s_res, z_res = self.uju
-        sbar = s / np.sqrt(s_res)[blk]
-        zbar = z / np.sqrt(z_res)[blk]
+        sbar, zbar = self.u[:, self.m:] / np.sqrt(self.uju)[:, blk]
         gamma = np.sqrt((1.0 + self.sums @ (sbar * zbar)) / 2.0)
         wbar = (sbar + jsign * zbar) / (2.0 * gamma)[blk]
-        v = (wbar + self.unit[self.m:]) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
+        v = (wbar + self.unit_c) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
         self.beta, self.v = (s_res / z_res) ** 0.25, v
         # W u = beta (2 v (v'u) - J u) and W^-1 u = (2 Jv ((Jv)'u) - J u) /
         # beta: the rows v' and (Jv)' of each cone, and their multiples
@@ -306,7 +307,7 @@ class _Cones:
             lam_c, u_c = self.lam[m:], u[m:]
             x0 = self._jdot(lam_c, u_c) / self.lam_jj
             out[m:] = (u_c - x0[self.block] * lam_c) / self.lam_heads
-            out[m + self.heads] = x0
+            out[self.at_heads] = x0
         return out
 
     def max_step(self, du: np.ndarray) -> float:
@@ -320,7 +321,7 @@ class _Cones:
         """
         m = self.m
         worst = -min(float(np.min(du[:, :m] * self.inv_orthant, initial=0.0)),
-                     float(np.min(du[:, m + self.heads] * self.inv_heads, initial=0.0)))
+                     float(np.min(du[:, self.at_heads] * self.inv_heads, initial=0.0)))
         a = 1.0 / worst if worst > 1.0 else 1.0
         if not self.dims:
             return a
@@ -437,6 +438,7 @@ def solve(
         lam = cones.scale()
         mu = gap / cones.degree
         kkt_solve, kkt_apply = kkt(sq * cones.Winv[1][:m], cones.scalings())
+        neg_rx = -rx
 
         def newton(tgt, refine=True):
             """Direction (dx, [ds; dz]) for targets tgt = desired
@@ -449,7 +451,7 @@ def solve(
             """
             nonlocal refinements
             w_dc = cones.apply(cones.W, cones.ldiv(tgt))
-            rhs = -rx - Gt(cones.apply(cones.Winv, rz + w_dc, twice=True))
+            rhs = neg_rx - Gt(cones.apply(cones.Winv, rz + w_dc, twice=True))
             dx = kkt_solve(rhs)
             if refine:
                 # one pass of iterative refinement where the residual shows

@@ -328,8 +328,10 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
     # row i of the Hankel view is alpha from block i on, zeros past the horizon
     padded = np.zeros((2 * h - 1) * n)
     hankel = sliding_window_view(padded, h * n)[::n]
-    to_end = powers[h - 1::-1]                     # Phi^(h-1-i) for each i
-    to_end_t = np.ascontiguousarray(to_end.transpose(0, 2, 1))
+    # rows a and c of Phi^(h-1-i) times each other, (h*n*n, n*n) with rows
+    # (i, b, d) and columns (a, c): W's term in P_i is its product with W
+    to_end = powers[h - 1::-1]
+    to_end_outer = np.einsum("iab,icd->ibdac", to_end, to_end).reshape(h * n * n, n * n)
     Gamma = G[:n, :m]
     G_rows = G.reshape(h, n, nu)
 
@@ -337,7 +339,7 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
         padded[:nw] = alpha
         P = np.dot(hankel, outer).reshape(h, n, n)
         if W is not None:
-            P += to_end_t @ W @ to_end
+            P += (to_end_outer @ W.reshape(-1)).reshape(h, n, n)
         np.matmul((P @ Gamma).transpose(0, 2, 1), G_rows, out=out.reshape(h, m, nu))
 
     return gram

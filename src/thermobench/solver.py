@@ -79,9 +79,10 @@ class ConicProgram:
 # the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
 # W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
 # returns M x; for each direction a step is taken along, the solver refines
-# once with the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor through ``factor_newton``, which
-# reads only the lower triangle and returns the solve with the factor, so
-# the regularization and its failure are the solver's.
+# once with the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||.
+# Factor through ``factor_newton``, which reads only the lower triangle and
+# returns the solve with the factor, so the regularization and its failure
+# are the solver's.
 KktHook = Callable[
     [np.ndarray, list[tuple[float, np.ndarray]]],
     tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
@@ -239,8 +240,8 @@ class _Cones:
         # on a cone W = beta (2 v v' - J), whose diagonal part is -beta J
         w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), self.minus_j * self.beta[self.block]])
         winv_diag = 1.0 / w_diag
-        self.W = (w_diag, w_diag * w_diag, *terms[0])
-        self.Winv = (winv_diag, winv_diag * winv_diag, *terms[1])
+        self.W, self.Winv = (w_diag, *terms[0]), (winv_diag, *terms[1])
+        self.winv_sq = winv_diag * winv_diag
         lam = self.apply(self.W, z)
         self.lam, self.inv_lam = lam, 1.0 / lam[:m]
         if self.dims:
@@ -267,14 +268,14 @@ class _Cones:
         return (V, 2.0 * b * V), (JV, 2.0 / b * JV)
 
     def apply(self, op, u: np.ndarray, twice: bool = False) -> np.ndarray:
-        """u under W or W^-1 (``op`` is ``W`` or ``Winv``), or under its
-        square with ``twice``: a diagonal, plus on each cone a rank-1 term.
-        The square's diagonal on the orthant is one product; on a cone it
-        is applied as two steps, which keeps the rounding of each step's
+        """u under W or W^-1 (``op`` is ``W`` or ``Winv``), or under W^-2
+        with ``twice``: a diagonal, plus on each cone a rank-1 term. The
+        square's diagonal on the orthant is one product; on a cone it is
+        applied as two steps, which keeps the rounding of each step's
         rank-1 term apart near the cone's boundary."""
-        diag, diag2, rows, terms = op
+        diag, rows, terms = op
         m = self.m
-        out = (diag2 if twice else diag) * u
+        out = (self.winv_sq if twice else diag) * u
         if self.dims:
             u_c = u[m:]
             if twice:
@@ -320,8 +321,8 @@ class _Cones:
         stays exact as the quadratic term vanishes.
         """
         m = self.m
-        worst = -min(float(np.min(du[:, :m] * self.inv_orthant, initial=0.0)),
-                     float(np.min(du[:, self.at_heads] * self.inv_heads, initial=0.0)))
+        worst = -min(float((du[:, :m] * self.inv_orthant).min(initial=0.0)),
+                     float((du[:, self.at_heads] * self.inv_heads).min(initial=0.0)))
         a = 1.0 / worst if worst > 1.0 else 1.0
         if not self.dims:
             return a
@@ -437,21 +438,22 @@ def solve(
             break
         lam = cones.scale()
         mu = gap / cones.degree
-        kkt_solve, kkt_apply = kkt(sq * cones.Winv[1][:m], cones.scalings())
+        kkt_solve, kkt_apply = kkt(sq * cones.winv_sq[:m], cones.scalings())
         neg_rx = -rx
 
-        def newton(tgt, refine=True):
+        def newton(d_c, refine=True):
             """Direction (dx, [ds; dz]) for targets tgt = desired
-            lambda o (W^-T ds + W dz).
+            lambda o (W^-1 ds + W dz), given as d_c, the solution of
+            lambda o d_c = tgt; then the scaled directions W^-1 ds and W dz.
 
-            Eliminations: ds = W d_c - W^2 dz with d_c the solution of
-            lambda o d_c = tgt, and dz = W^-2 (G dx + rz + W d_c), leaving
-            G' W^-2 G dx = rhs. ``refine`` checks the solve's residual, as
+            Eliminations: dz = W^-2 (G dx + rz + W d_c), leaving
+            G' W^-2 G dx = rhs, and W^-1 ds = d_c - W dz, where W dz is the
+            first half of W^-2. ``refine`` checks the solve's residual, as
             the directions that a step is taken along do.
             """
             nonlocal refinements
-            w_dc = cones.apply(cones.W, cones.ldiv(tgt))
-            rhs = neg_rx - Gt(cones.apply(cones.Winv, rz + w_dc, twice=True))
+            r = rz + cones.apply(cones.W, d_c)
+            rhs = neg_rx - Gt(cones.apply(cones.Winv, r, twice=True))
             dx = kkt_solve(rhs)
             if refine:
                 # one pass of iterative refinement where the residual shows
@@ -461,15 +463,14 @@ def solve(
                 if res @ res > 1e-20 * (rhs @ rhs):
                     dx += kkt_solve(res)
                     refinements += 1
-            dsz = np.empty_like(sz)
-            dsz[1] = cones.apply(cones.Winv, G(dx) + rz + w_dc, twice=True)
-            np.subtract(w_dc, cones.apply(cones.W, dsz[1], twice=True), out=dsz[0])
-            return dx, dsz
+            w_dz = cones.apply(cones.Winv, G(dx) + r)
+            w_ds = d_c - w_dz
+            return dx, np.stack([cones.apply(cones.W, w_ds), cones.apply(cones.Winv, w_dz)]), w_ds, w_dz
 
-        # predictor (affine scaling) direction: it only sets sigma and the
-        # second-order term, so its solve is not refined
-        lam_sq = cones.prod(lam, lam)
-        _, dsza = newton(-lam_sq, refine=False)
+        # predictor (affine scaling) direction, for the target -lambda o
+        # lambda: it only sets sigma and the second-order term, so its solve
+        # is not refined
+        _, dsza, w_dsa, w_dza = newton(-lam, refine=False)
         a_aff = min(1.0, 0.999 * cones.max_step(dsza))
         s_aff, z_aff = sz + a_aff * dsza
         sigma = min(max((max(float(s_aff @ z_aff), 0.0) / gap) ** 3, 1e-6), 0.9999)
@@ -481,15 +482,14 @@ def solve(
             sigma = 0.9999
 
         # corrector with Mehrotra second-order term
-        cen = sigma * mu * cones.unit - lam_sq
-        second = cones.prod(cones.apply(cones.Winv, dsza[0]), cones.apply(cones.W, dsza[1]))
-        dx, dsz = newton(cen - second)
+        cen = sigma * mu * cones.unit - cones.prod(lam, lam)
+        dx, dsz, _, _ = newton(cones.ldiv(cen - cones.prod(w_dsa, w_dza)))
         a = min(1.0, 0.99 * cones.max_step(dsz))
         if a < 0.1:
             # the second-order term can jam the step against a cone boundary
             # for many iterations in a row; the plain centred direction from
             # the same factorization often still moves, so take the longer
-            centred = newton(cen)
+            centred = newton(cones.ldiv(cen))[:2]
             a_cen = min(1.0, 0.99 * cones.max_step(centred[1]))
             if a_cen > a:
                 (dx, dsz), a = centred, a_cen

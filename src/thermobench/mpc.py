@@ -11,7 +11,7 @@ any start, however far outside the band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -120,25 +120,15 @@ def prediction_matrices(model: DiscreteDynamics, T0: np.ndarray, forecast: np.nd
     Toeplitz structure of Phi^(k-j) Gamma_ext. The third result holds the
     powers Phi^0..Phi^h that both are built from, (h+1, n, n).
     """
-    G, forcing, powers = _toeplitz_maps(model, h)
-    return G, _free_response(powers, forcing, T0, forecast), powers
-
-
-def _toeplitz_maps(model: DiscreteDynamics, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G, the forecast's Toeplitz map and the powers of ``prediction_matrices``."""
     n = model.n_internal
     powers = np.empty((h + 1, n, n))
     powers[0] = np.eye(n)
     for k in range(1, h + 1):
         powers[k] = model.Phi @ powers[k - 1]
-    return (_block_toeplitz(powers[:h] @ model.Gamma_ctrl),
-            _block_toeplitz(powers[:h] @ model.Gamma_ext), powers)
-
-
-def _free_response(powers, forcing, T0, forecast) -> np.ndarray:
-    """d, the temperatures T(1..h) from T0 and the forecast with u = 0."""
-    h = len(powers) - 1
-    return (powers[1:] @ T0).reshape(-1) + forcing @ forecast[:h].reshape(-1)
+    G = _block_toeplitz(powers[:h] @ model.Gamma_ctrl)
+    forced = _block_toeplitz(powers[:h] @ model.Gamma_ext) @ forecast[:h].reshape(-1)
+    d = (powers[1:] @ T0).reshape(-1) + forced
+    return G, d, powers
 
 
 def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
@@ -152,56 +142,44 @@ def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Horizon:
-    """What the horizon problems of one model and config share, built once
-    and carried from step to step on ``MpcSolution``: the maps of
-    ``prediction_matrices``, the rows (each problem gives its own right
-    sides), the cost, the cone sizes, the Newton hook with its buffers, and
-    the groups of x and of the rows as ``_shifted`` takes them."""
-
-    G: np.ndarray
+    """What the problems of one model and config share, carried on ``MpcSolution``:
+    the program but its right sides (its rows hold G, its hook the Newton buffers),
+    the forecast's Toeplitz map, the powers of Phi and ``_shifted``'s groups."""
+    program: ConicProgram
     forcing: np.ndarray
     powers: np.ndarray
-    rows: "HorizonRows"
-    c: np.ndarray
-    cones: tuple
-    kkt: object
     groups: tuple
 
 
 def _condense(problem: MpcProblem, horizon: Optional[Horizon] = None):
-    """The horizon problem over x = (u, w, t1, t2) with its structured Newton
-    hook, on ``horizon`` when given: one built for an earlier problem of the
-    same model and config. Returns the program, d and the horizon."""
-    if horizon is None:
-        horizon = _horizon(problem)
-    d = _free_response(horizon.powers, horizon.forcing, problem.T0, problem.forecast)
-    prog = ConicProgram(c=horizon.c, A=horizon.rows, b=np.concatenate(_right_sides(problem, d)),
-                        cones=horizon.cones, kkt=horizon.kkt)
-    return prog, d, horizon
+    """The horizon problem over x = (u, w, t1, t2) with its structured Newton hook, on
+    ``horizon`` when given (built for the same model and config): program, d, horizon."""
+    horizon = horizon or _horizon(problem)
+    # d as ``prediction_matrices`` computes it
+    d = (horizon.powers[1:] @ problem.T0).reshape(-1) + horizon.forcing @ problem.forecast.reshape(-1)
+    return replace(horizon.program, b=np.concatenate(_right_sides(problem, d))), d, horizon
 
 
 def _right_sides(problem: MpcProblem, d: np.ndarray) -> list:
     """The right sides b of the horizon rows, one per group of ``_horizon``."""
     cfg, n = problem.config, problem.model.n_internal
     nu, nw = cfg.horizon * problem.model.Gamma_ctrl.shape[1], len(d)
-    pinned = [[1.0], [0.0]] if cfg.Q_togo == 0 else []
-    terminal = [[0.0], d[-n:] - problem.r[-1]] if cfg.Q_togo > 0 else []
+    pinned, terminal = ([[1.0], [0.0]], []) if cfg.Q_togo == 0 else ([], [[0.0], d[-n:] - problem.r[-1]])
     return [np.zeros(nu), np.ones(nu), np.zeros(nw), d - problem.r_min.reshape(-1),
             problem.r_max.reshape(-1) - d, *pinned, [0.0], np.zeros(nw), *terminal]
 
 
 def _horizon(problem: MpcProblem) -> Horizon:
-    """The structure of ``problem``'s program: u are the controls, w the band
-    slacks, t1 the epigraph of the slack RMS cone ||w|| <= t1 and t2 that of
-    the terminal cone ||T(h) - r(h)|| <= t2."""
+    """The structure of ``problem``'s program: u the controls, w the band slacks, t1 the
+    epigraph of the RMS cone ||w|| <= t1, t2 that of the terminal ||T(h) - r(h)|| <= t2."""
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
     m = problem.model.Gamma_ctrl.shape[1]
-    G, forcing, powers = _toeplitz_maps(problem.model, h)
+    G, d, powers = prediction_matrices(problem.model, problem.T0, problem.forecast, h)
     nu, nw = h * m, h * n
     nvar = nu + nw + 2
-    b = iter(_right_sides(problem, _free_response(powers, forcing, problem.T0, problem.forecast)))
+    b = iter(_right_sides(problem, d))
 
     # rows: u >= 0, u <= 1, w >= 0, T >= r_min - w, T <= r_max + w, with
     # T = G u + d
@@ -233,7 +211,8 @@ def _horizon(problem: MpcProblem) -> Horizon:
     c[:nu] = cfg.R
     c[nu + nw] = cfg.Q / np.sqrt(n * h)
     c[nu + nw + 1] = cfg.Q_togo / np.sqrt(n)
-    return Horizon(G, forcing, powers, rows, c, cones, _condensed_kkt(G, powers),
+    prog = ConicProgram(c=c, A=rows, b=rows.b, cones=cones, kkt=_condensed_kkt(G, powers))
+    return Horizon(prog, _block_toeplitz(powers[:h] @ problem.model.Gamma_ext), powers,
                    ([(nu, m), (nw, n), (2, 0)], rows.groups))
 
 
@@ -263,7 +242,6 @@ class HorizonRows(RowOperator):
         self.b = np.append(self.b, b)
         self.shape = (len(self.b), self.shape[1])
         self.groups.append((len(b), stage))
-        self._row_max = None
 
     def unit(self, cols, sign: float, b, stage: int = 0) -> None:
         """sign * x[col] <= b, one row per column, ``stage`` rows per step."""
@@ -293,8 +271,7 @@ class HorizonRows(RowOperator):
         return y[:nvar]
 
     def row_max(self):
-        # kept: the solves of every problem that shares these rows ask again
-        if self._row_max is None:
+        if self._row_max is None:       # every problem that shares these rows asks again
             col_max = np.concatenate([np.ones(self.shape[1]), np.abs(self.G).max(axis=1, initial=0.0)])
             self._row_max = np.zeros(self.shape[0])
             np.maximum.at(self._row_max, self.row, np.abs(self.val) * col_max[self.col])
@@ -328,8 +305,7 @@ def _weighted_gram(G: np.ndarray, powers: np.ndarray):
     # row i of the Hankel view is alpha from block i on, zeros past the horizon
     padded = np.zeros((2 * h - 1) * n)
     hankel = sliding_window_view(padded, h * n)[::n]
-    # rows a and c of Phi^(h-1-i) times each other, (h*n*n, n*n) with rows
-    # (i, b, d) and columns (a, c): W's term in P_i is its product with W
+    # W's term in P_i: rows (i, b, d), columns (a, c) of Phi^(h-1-i) products
     to_end = powers[h - 1::-1]
     to_end_outer = np.einsum("iab,icd->ibdac", to_end, to_end).reshape(h * n * n, n * n)
     Gamma = G[:n, :m]
@@ -374,7 +350,6 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
     S = np.empty((nu + 1, nu + 1))
     diag_u = np.einsum("ii->i", S)[:nu]
     rank1 = np.zeros(nu + 1)
-    tg = np.empty(n + 1)
 
     def kkt(wts, scalings):
         s12 = wts[:nu] + wts[nu:2 * nu]
@@ -421,10 +396,7 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             # delta G u for (w, t1)
             r_w, r_t = r[nu:nu + nw], r[-2]
             k = l00 * float(g @ r_w) + l01 * h0 * r_t
-            rhs = np.empty(nu + 1)
-            np.subtract(r[:nu], G.T @ (d_inv * r_w - k * dg), out=rhs[:nu])
-            rhs[nu] = r[-1]
-            x_a = solve_s(rhs)
+            x_a = solve_s(np.append(r[:nu] - G.T @ (d_inv * r_w - k * dg), r[-1]))
             y = r_w - delta * (G @ x_a[:nu])
             sig, tau = float(g @ y), h0 * r_t
             out = np.empty_like(r)
@@ -444,8 +416,7 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             out[-1] = pinned * t2
             if W2 is not None:
                 # the terminal cone's term reaches u through G_h, the last rows of G
-                tg[0], tg[1:] = t2, Gu[-n:]
-                q = W2 @ tg
+                q = W2 @ np.append(t2, Gu[-n:])
                 y[-n:] += q[1:]
                 out[-1] += q[0]
             out[:nu] = G.T @ y + s12 * u
@@ -514,17 +485,14 @@ def _warm_start(previous: Optional[MpcSolution], problem: MpcProblem, groups: tu
 
 def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> MpcSolution:
     """Globally solve the horizon problem; soft slacks guarantee feasibility.
-    The solve starts warm from ``previous`` (see ``_warm_start``), and its
-    program shares ``previous``'s horizon when both problems are of the same
-    model object and config."""
+    The solve starts warm from ``previous`` (see ``_warm_start``) and shares its
+    horizon when both problems are of the same model object and config."""
     cfg = problem.config
     h = cfg.horizon
     n = problem.model.n_internal
     m = problem.model.Gamma_ctrl.shape[1]
-    same = (previous is not None and previous.problem.model is problem.model
-            and previous.problem.config == cfg)
+    same = previous is not None and previous.problem.model is problem.model and previous.problem.config == cfg
     prog, d, horizon = _condense(problem, previous.horizon if same else None)
-    nu = h * m
 
     try:
         sol = solve(prog, _warm_start(previous, problem, horizon.groups),
@@ -535,8 +503,8 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
             cost=np.inf, status="failed", iterations=0, kkt={}, problem=problem, horizon=horizon,
         )
 
-    u_flat = np.clip(sol.x[:nu], 0.0, 1.0)
-    cost, T_pred, w = _closed_form_cost(problem, u_flat, horizon.G, d)
+    u_flat = np.clip(sol.x[:h * m], 0.0, 1.0)
+    cost, T_pred, w = _closed_form_cost(problem, u_flat, prog.A.G, d)
     return MpcSolution(
         u=u_flat.reshape(h, m),
         T_pred=T_pred,

@@ -84,15 +84,12 @@ class WeatherModel:
         return self.mean_temp + daily + fast + self.bias(t)
 
     def noise(self, t):
-        """Noise at time t (minutes). Accepts scalar or array time; an array
-        reads each day's block once."""
+        """Noise at time t (minutes); scalar or array time, an array reading each day's block once."""
         t = np.asarray(t, dtype=float)
+        day, minute = np.divmod(np.floor(t).astype(int), int(MINUTES_PER_DAY))
         out = np.zeros(t.shape)
-        if self.noise_std != 0.0:
-            day, minute = np.divmod(np.floor(t).astype(int), int(MINUTES_PER_DAY))
-            for k in np.unique(day).tolist():
-                at = day == k
-                out[at] = _day_noise(self.seed, k)[minute[at]] * self.noise_std
+        for k in np.unique(day).tolist() if self.noise_std else ():
+            out[day == k] = _day_noise(self.seed, k)[minute[day == k]] * self.noise_std
         return out if t.ndim else float(out)
 
 

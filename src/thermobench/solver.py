@@ -78,11 +78,10 @@ class ConicProgram:
 # with A_l the linear rows of ``A`` and wts one weight per row of them, A_k
 # the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
 # W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
-# returns M x; for each direction a step is taken along, the solver refines
-# once with the residual r - apply(solve(r)) when that exceeds 1e-10 ||r||.
-# Factor through ``factor_newton``, which reads only the lower triangle and
-# returns the solve with the factor, so the regularization and its failure
-# are the solver's.
+# returns M x; a direction the step follows is refined once with the residual
+# r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor through
+# ``factor_newton``, which reads only the lower triangle and returns the
+# solve with the factor, so the regularization and its failure are the solver's.
 KktHook = Callable[
     [np.ndarray, list[tuple[float, np.ndarray]]],
     tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
@@ -157,9 +156,8 @@ class _Cones:
     share; ``scale`` computes its Nesterov-Todd scaling W: sqrt(s / z) on
     the orthant and beta (2 v v' - J) on each cone. W and W^-1 are each a
     diagonal plus, on each cone, a rank-1 term; ``apply`` applies one of
-    them or its square. ``ldiv`` divides by the scaled point lambda = W z
-    in the Jordan algebra: it solves lambda o x = u exactly, which on a
-    cone is not lambda^-1 o u, since the product does not associate.
+    them or W^-2. ``ldiv`` solves lambda o x = u, with lambda = W z, which
+    on a cone is not lambda^-1 o u: the Jordan product does not associate.
     """
 
     def __init__(self, m: int, dims: list[int]):
@@ -173,7 +171,6 @@ class _Cones:
         self.jsign = -np.ones(int(sizes.sum()))
         self.jsign[self.heads] = 1.0
         self.unit = np.concatenate([np.ones(m), (self.jsign > 0).astype(float)])
-        self.unit_c, self.minus_j = self.unit[m:], -self.jsign
         self.degree = m + len(dims)
         self.beta = np.empty(0)
 
@@ -238,15 +235,13 @@ class _Cones:
         m = self.m
         terms = self._scale_cones() if self.dims else ((None, None),) * 2
         # on a cone W = beta (2 v v' - J), whose diagonal part is -beta J
-        w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), self.minus_j * self.beta[self.block]])
+        w_diag = np.concatenate([np.sqrt(s[:m] / z[:m]), -self.jsign * self.beta[self.block]])
         winv_diag = 1.0 / w_diag
         self.W, self.Winv = (w_diag, *terms[0]), (winv_diag, *terms[1])
         self.winv_sq = winv_diag * winv_diag
         lam = self.apply(self.W, z)
-        self.lam, self.inv_lam = lam, 1.0 / lam[:m]
-        if self.dims:
-            lam_c = lam[m:]
-            self.lam_jj, self.lam_heads = self._jdot(lam_c, lam_c), lam_c[self.heads][self.block]
+        self.lam, self.inv_lam, lam_c = lam, 1.0 / lam[:m], lam[m:]
+        self.lam_jj, self.lam_heads = self._jdot(lam_c, lam_c), lam_c[self.heads][self.block]
         return lam
 
     def _scale_cones(self) -> tuple:
@@ -259,7 +254,7 @@ class _Cones:
         sbar, zbar = self.u[:, self.m:] / np.sqrt(self.uju)[:, blk]
         gamma = np.sqrt((1.0 + self.sums @ (sbar * zbar)) / 2.0)
         wbar = (sbar + jsign * zbar) / (2.0 * gamma)[blk]
-        v = (wbar + self.unit_c) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
+        v = (wbar + self.unit[self.m:]) / np.sqrt(2.0 * (wbar[self.heads] + 1.0))[blk]
         self.beta, self.v = (s_res / z_res) ** 0.25, v
         # W u = beta (2 v (v'u) - J u) and W^-1 u = (2 Jv ((Jv)'u) - J u) /
         # beta: the rows v' and (Jv)' of each cone, and their multiples
@@ -292,23 +287,17 @@ class _Cones:
     def prod(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Jordan product u o w."""
         out = u * w
-        if self.dims:
-            out[self.m:] = self._prod(u[self.m:], w[self.m:])
+        out[self.m:] = self._prod(u[self.m:], w[self.m:])
         return out
 
     def ldiv(self, u: np.ndarray) -> np.ndarray:
-        """The x with lambda o x = u, for the lambda of the last ``scale``:
-        u / lambda on the orthant, and on each cone the solve with the arrow
-        matrix of lambda, x0 = (lambda0 u0 - lambda1'u1) / (lambda'J lambda)
-        and x1 = (u1 - x0 lambda1) / lambda0."""
-        m = self.m
-        out = np.empty_like(u)
-        out[:m] = self.inv_lam * u[:m]
-        if self.dims:
-            lam_c, u_c = self.lam[m:], u[m:]
-            x0 = self._jdot(lam_c, u_c) / self.lam_jj
-            out[m:] = (u_c - x0[self.block] * lam_c) / self.lam_heads
-            out[self.at_heads] = x0
+        """x with lambda o x = u, for the lambda of the last ``scale``: on each
+        cone x0 = (lambda0 u0 - lambda1'u1) / (lambda'J lambda), x1 = (u1 -
+        x0 lambda1) / lambda0, the solve with lambda's arrow matrix."""
+        m, lam_c, u_c = self.m, self.lam[self.m:], u[self.m:]
+        x0 = self._jdot(lam_c, u_c) / self.lam_jj
+        out = np.concatenate([self.inv_lam * u[:m], (u_c - x0[self.block] * lam_c) / self.lam_heads])
+        out[self.at_heads] = x0
         return out
 
     def max_step(self, du: np.ndarray) -> float:
@@ -442,34 +431,28 @@ def solve(
         neg_rx = -rx
 
         def newton(d_c, refine=True):
-            """Direction (dx, [ds; dz]) for targets tgt = desired
-            lambda o (W^-1 ds + W dz), given as d_c, the solution of
-            lambda o d_c = tgt; then the scaled directions W^-1 ds and W dz.
-
-            Eliminations: dz = W^-2 (G dx + rz + W d_c), leaving
-            G' W^-2 G dx = rhs, and W^-1 ds = d_c - W dz, where W dz is the
-            first half of W^-2. ``refine`` checks the solve's residual, as
-            the directions that a step is taken along do.
+            """Direction (dx, [ds; dz]), then W^-1 ds and W dz, for targets
+            tgt = desired lambda o (W^-1 ds + W dz), given as d_c with
+            lambda o d_c = tgt. Eliminations: dz = W^-2 (G dx + rz + W d_c),
+            leaving G' W^-2 G dx = rhs, and W^-1 ds = d_c - W dz, where W dz
+            is the first half of W^-2. ``refine`` checks the solve.
             """
             nonlocal refinements
             r = rz + cones.apply(cones.W, d_c)
             rhs = neg_rx - Gt(cones.apply(cones.Winv, r, twice=True))
             dx = kkt_solve(rhs)
-            if refine:
-                # one pass of iterative refinement where the residual shows
-                # factorization error: near the boundary the W^-2 recovery
-                # of dz amplifies it
-                res = rhs - kkt_apply(dx)
-                if res @ res > 1e-20 * (rhs @ rhs):
-                    dx += kkt_solve(res)
-                    refinements += 1
+            # one pass of iterative refinement where the residual shows
+            # factorization error: near the boundary the W^-2 recovery of dz
+            # amplifies it
+            if refine and (res := rhs - kkt_apply(dx)) @ res > 1e-20 * (rhs @ rhs):
+                dx += kkt_solve(res)
+                refinements += 1
             w_dz = cones.apply(cones.Winv, G(dx) + r)
             w_ds = d_c - w_dz
             return dx, np.stack([cones.apply(cones.W, w_ds), cones.apply(cones.Winv, w_dz)]), w_ds, w_dz
 
-        # predictor (affine scaling) direction, for the target -lambda o
-        # lambda: it only sets sigma and the second-order term, so its solve
-        # is not refined
+        # predictor (affine scaling) direction, for -lambda o lambda: it only
+        # sets sigma and the second-order term, so its solve is not refined
         _, dsza, w_dsa, w_dza = newton(-lam, refine=False)
         a_aff = min(1.0, 0.999 * cones.max_step(dsza))
         s_aff, z_aff = sz + a_aff * dsza

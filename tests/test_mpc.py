@@ -146,7 +146,7 @@ def test_horizon_rows_match_dense(h, dt, q_togo):
     problem = build_mpc_problem(table1_model(dt), np.array([66.0, 71.0]),
                                 rng.uniform(10.0, 50.0, size=h), r_min, r_max, cfg)
     prog, d, horizon = _condense(problem)
-    G = horizon.G
+    G = horizon.program.A.G
     nw, nu = G.shape
     nvar = nu + nw + 2
     I_u, I_w = np.eye(nu, nvar), np.eye(nw, nvar, nu)
@@ -569,7 +569,7 @@ def test_horizon_is_shared_only_by_the_same_model_and_config(true_model_week_see
         assert np.array_equal(got, ref)
     no_togo = solve_mpc(replace(nxt, config=replace(nxt.config, Q_togo=0.0)), previous)
     assert no_togo.horizon is not previous.horizon
-    assert no_togo.horizon.cones == (1 + 96 * 2,)
+    assert no_togo.horizon.program.cones == (1 + 96 * 2,)
 
 
 def smoothed_cost(problem, G, d, eps=1e-7):
@@ -608,7 +608,7 @@ def test_ipm_matches_full_horizon_oracle(true_model_week_seed29):
     for t in sample:
         problem, sol = solved[t]
         _, d, horizon = _condense(problem)
-        G = horizon.G
+        G = horizon.program.A.G
         f = smoothed_cost(problem, G, d)
         for start in (sol.u.reshape(-1), np.zeros(G.shape[1])):
             res = minimize(f, start, jac=True, method="L-BFGS-B",

@@ -396,7 +396,7 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             # delta G u for (w, t1)
             r_w, r_t = r[nu:nu + nw], r[-2]
             k = l00 * float(g @ r_w) + l01 * h0 * r_t
-            x_a = solve_s(np.append(r[:nu] - G.T @ (d_inv * r_w - k * dg), r[-1]))
+            x_a = solve_s(np.concatenate([r[:nu] - G.T @ (d_inv * r_w - k * dg), r[-1:]]))
             y = r_w - delta * (G @ x_a[:nu])
             sig, tau = float(g @ y), h0 * r_t
             out = np.empty_like(r)
@@ -416,7 +416,7 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             out[-1] = pinned * t2
             if W2 is not None:
                 # the terminal cone's term reaches u through G_h, the last rows of G
-                q = W2 @ np.append(t2, Gu[-n:])
+                q = W2 @ np.concatenate([x[-1:], Gu[-n:]])
                 y[-n:] += q[1:]
                 out[-1] += q[0]
             out[:nu] = G.T @ y + s12 * u

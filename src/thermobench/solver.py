@@ -392,7 +392,7 @@ def solve(
     best_progress = np.inf
     since_improved = 0
     it = refinements = 0
-    sz = np.stack([s, z])
+    sz = np.array([s, z])
     # the iterate closest to the stopping test: its largest measure relative
     # to its scale, with x, [s; z], gap, primal and dual residual
     best = (np.inf, x, sz, np.inf, np.inf, np.inf)
@@ -449,7 +449,7 @@ def solve(
                 refinements += 1
             w_dz = cones.apply(cones.Winv, G(dx) + r)
             w_ds = d_c - w_dz
-            return dx, np.stack([cones.apply(cones.W, w_ds), cones.apply(cones.Winv, w_dz)]), w_ds, w_dz
+            return dx, np.array([cones.apply(cones.W, w_ds), cones.apply(cones.Winv, w_dz)]), w_ds, w_dz
 
         # predictor (affine scaling) direction, for -lambda o lambda: it only
         # sets sigma and the second-order term, so its solve is not refined

@@ -435,7 +435,7 @@ def solve(
             tgt = desired lambda o (W^-1 ds + W dz), given as d_c with
             lambda o d_c = tgt. Eliminations: dz = W^-2 (G dx + rz + W d_c),
             leaving G' W^-2 G dx = rhs, and W^-1 ds = d_c - W dz, where W dz
-            is the first half of W^-2. ``refine`` checks the solve.
+            is the first half of W^-2. ``refine`` checks the solve's residual.
             """
             nonlocal refinements
             r = rz + cones.apply(cones.W, d_c)

@@ -371,7 +371,8 @@ def solve(
         cones.scale()                                  # W = I at s = z = e
         solve0, _ = kkt(sq, cones.scalings())
         x = solve0(Gt(h))
-        s = cones.shift_inside(h - G(x))
+        gx = G(x)
+        s = cones.shift_inside(h - gx)
         z = cones.shift_inside(G(solve0(-c)))
     else:
         x, s, z = (np.array(v, dtype=float) for v in start)
@@ -380,10 +381,10 @@ def solve(
         # centred on the mu that balances its gap against its residuals;
         # centring moves the dual residual, so mu is balanced once more
         # against the centred point's, and never lowered
-        mu, centred = 0.0, (s, z)
+        mu, centred, gx = 0.0, (s, z), G(x)
         for _ in range(2):
             s_c, z_c = centred
-            mu = max(mu, _start_mu(G(x) + s_c - h, c + Gt(z_c), s_c @ z_c, c @ x,
+            mu = max(mu, _start_mu(gx + s_c - h, c + Gt(z_c), s_c @ z_c, c @ x,
                                    scale_p, scale_d, cones.degree, tol))
             centred = cones.centre(s, z, mu)
         s, z = centred
@@ -400,7 +401,7 @@ def solve(
     for it in range(1, max_iter + 1):
         s, z = sz
         rx = c + Gt(z)
-        rz = G(x) + s - h
+        rz = gx + s - h
         gap = float(s @ z)
         pres = math.sqrt(rz @ rz)
         dres = math.sqrt(rx @ rx)
@@ -478,6 +479,7 @@ def solve(
                 (dx, dsz), a = centred, a_cen
 
         x = x + a * dx
+        gx = G(x)
         sz = sz + a * dsz
 
     if status != "optimal":

@@ -7,15 +7,18 @@ Runs the configs of a perfbench workload (52 steps each) ``--repeats`` times
 in one process and times, inside the MPC's ``solver.solve`` calls only, the
 parts of each iteration through ``perf_counter`` wrappers installed from
 outside the package: the Newton hook's build (of which the Cholesky), its
-solves, its applications (the residual check of each Newton solve), the
-products with the stacked constraint rows, and the step-length searches.
+solves, its applications (the residual checks of refined Newton solves,
+where a checkout's hook returns ``(solve, apply)``; 0 where it returns only
+its solve), the products with the stacked constraint rows, and the
+step-length searches.
 "rest" is the solve time not inside any of them. It prints microseconds per
 IPM iteration for each part, as the median over the repeats, with the
 repeats' smallest total, and iterations per solve; then "setup", the
 microseconds per solve spent in ``mpc.solve_mpc`` outside ``solver.solve``
 (building or reusing the program, the warm start, the cost). ``--tree`` measures
 another checkout, for example one extracted by ``git archive``; the script
-knows the row layout before and after ``solver._stack`` went. Each wrapper
+knows the row layout before and after ``solver._stack`` went, and hooks that
+return a solve or ``(solve, apply)``. Each wrapper
 adds a clock read or two per call, under a microsecond, to the figures; the
 script is not part of the test suite.
 """
@@ -67,7 +70,10 @@ def install(timers, counts, inside):
             kkt = make_kkt(*args, **kwargs)
 
             def built(*a, **k):
-                solve, apply = timed("hook_build", kkt)(*a, **k)
+                out = timed("hook_build", kkt)(*a, **k)
+                if callable(out):
+                    return timed("hook_solves", out)
+                solve, apply = out
                 return timed("hook_solves", solve), timed("residual_checks", apply)
             return built
         return factory

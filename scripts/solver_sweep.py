@@ -5,16 +5,17 @@
 
 Runs ``run_scenario`` on the configs of a perfbench workload (``online``,
 ``mpc-week``; 52 steps each) for each seed, and records per seed: the
-thermostat fallbacks (``mpc-failure`` events), the status, IPM iterations
-and refined Newton solves of every solver call by kind (``socp``: the MPC
-programs, ``lp``: the separation LPs, ``phase1``: their phase-one programs,
-told apart by the binding each is called through), ``energy``, the
+thermostat fallbacks (``mpc-failure`` events), the status and IPM iterations
+of every solver call by kind (``socp``: the MPC programs, ``lp``: the
+separation LPs, ``phase1``: their phase-one programs, told apart by the
+binding each is called through), ``energy``, the
 experiment start times, each experiment's bounds ``e`` as the optimal
 selector returned them, and the trace's temperatures and heater commands.
 ``--out`` writes the records as JSON, which ``--compare`` reads two of: it
 prints fallbacks, stalled and non-optimal solves, total, mean and worst
-iterations and refined Newton solves per solve (n/a for records written
-before ``Solution.refinements``) per solve kind on each side, each seed's
+iterations per solve kind on each side with refined Newton solves per solve
+where a record carries them (older records do, from the solver's
+refinement pass; n/a for a side without them), each seed's
 most SOCP iterations in one solve on both sides with the seeds where that
 grew, the largest relative ``energy`` difference and the seeds where it
 exceeds 1e-6, the seeds whose experiment start times differ, max |de| over
@@ -69,7 +70,7 @@ def sweep_one(workload: str, seed: int) -> dict:
     def recording(kind, fn):
         def wrapped(*args, **kwargs):
             sol = fn(*args, **kwargs)
-            solves[kind].append((sol.status, sol.iterations, sol.refinements))
+            solves[kind].append((sol.status, sol.iterations))
             return sol
         return wrapped
 

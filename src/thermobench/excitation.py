@@ -358,7 +358,7 @@ def _separation_kkt(G, powers):
         gram(S, w34)
         S[:] += w5
         diag_u[:] += w12
-        return factor_newton(S), lambda u: w12 * u + G.T @ (w34 * (G @ u)) + w5 * u.sum()
+        return factor_newton(S)
 
     return kkt
 

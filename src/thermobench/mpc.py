@@ -372,7 +372,6 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
         dg, d_inv = delta * g, delta * inv_w
         # s4 + s5 - delta^2 / dg_w, without the cancellation when s4 >> s5
         alpha = (s45 * (s3 + 1.0 / b2) + 4.0 * s4 * s5) * inv_w
-        W2 = None
         if len(scalings) > 1:
             beta2, v2 = scalings[1]
             Jv2 = J.diagonal() * v2
@@ -405,26 +404,7 @@ def _condensed_kkt(G: np.ndarray, powers: np.ndarray):
             out[-2] = b2 * r_t - h0 * (l01 * sig + l11 * tau)
             return out
 
-        def apply(x):
-            u, w, t1, t2 = x[:nu], x[nu:nu + nw], x[-2], x[-1]
-            Gu = G @ u
-            # the RMS cone's term, C U' (w, t1) = (c0, c1)
-            sig, tau = float(v1 @ w), v0 * t1
-            c0, c1 = (4.0 * vv * (tau - sig) - 2.0 * (tau + sig)) / b2, -2.0 * (tau - sig) / b2
-            y = s45 * Gu + delta * w
-            out = np.empty_like(x)
-            out[-1] = pinned * t2
-            if W2 is not None:
-                # the terminal cone's term reaches u through G_h, the last rows of G
-                q = W2 @ np.concatenate([x[-1:], Gu[-n:]])
-                y[-n:] += q[1:]
-                out[-1] += q[0]
-            out[:nu] = G.T @ y + s12 * u
-            out[nu:nu + nw] = d_w * w + (c1 - c0) * v1 + delta * Gu
-            out[-2] = t1 / b2 + v0 * (c0 + c1)
-            return out
-
-        return solve, apply
+        return solve
 
     return kkt
 

@@ -73,19 +73,15 @@ class ConicProgram:
         return self.A.shape[0] - sum(self.cones)
 
 
-# One Newton system per iteration: kkt(wts, scalings) -> (solve, apply) for
+# One Newton system per iteration: kkt(wts, scalings) -> solve, with
+# solve(r) = M^-1 r for
 #   M = A_l' diag(wts) A_l + sum_k A_k' W_k^-2 A_k,
-# with A_l the linear rows of ``A`` and wts one weight per row of them, A_k
-# the rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
-# W_k = beta (2 v v' - J). ``solve(r)`` returns M^-1 r and ``apply(x)``
-# returns M x; a direction the step follows is refined once with the residual
-# r - apply(solve(r)) when that exceeds 1e-10 ||r||. Factor through
-# ``factor_newton``, which reads only the lower triangle and returns the
-# solve with the factor, so the regularization and its failure are the solver's.
-KktHook = Callable[
-    [np.ndarray, list[tuple[float, np.ndarray]]],
-    tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]],
-]
+# A_l the linear rows of ``A`` and wts one weight per row of them, A_k the
+# rows of cone k and scalings[k] = (beta, v) its Nesterov-Todd scaling
+# W_k = beta (2 v v' - J). Factor through ``factor_newton``, which reads only
+# the lower triangle and returns the solve with the factor, so the
+# regularization and its failure are the solver's.
+KktHook = Callable[[np.ndarray, list[tuple[float, np.ndarray]]], Callable[[np.ndarray], np.ndarray]]
 
 
 def factor_newton(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -122,7 +118,7 @@ def dense_kkt(prob: "ConicProgram") -> KktHook:
             J[1:] = -1.0
             W_inv_C = (2.0 * np.outer(J * v, J * v) - np.diag(J)) @ C / beta
             M += W_inv_C.T @ W_inv_C
-        return factor_newton(M), M.__matmul__
+        return factor_newton(M)
 
     return kkt
 
@@ -137,7 +133,6 @@ class Solution:
     gap: float
     dual_residual: float
     primal_residual: float
-    refinements: int = 0   # Newton solves refined by a second solve with the factor
 
     @property
     def optimal(self) -> bool:
@@ -369,7 +364,7 @@ def solve(
         # matrix at unit weights and identity scalings
         cones.interior(np.stack([cones.unit, cones.unit]))
         cones.scale()                                  # W = I at s = z = e
-        solve0, _ = kkt(sq, cones.scalings())
+        solve0 = kkt(sq, cones.scalings())
         x = solve0(Gt(h))
         gx = G(x)
         s = cones.shift_inside(h - gx)
@@ -392,7 +387,7 @@ def solve(
     status = "max_iter"
     best_progress = np.inf
     since_improved = 0
-    it = refinements = 0
+    it = 0
     sz = np.array([s, z])
     # the iterate closest to the stopping test: its largest measure relative
     # to its scale, with x, [s; z], gap, primal and dual residual
@@ -428,33 +423,25 @@ def solve(
             break
         lam = cones.scale()
         mu = gap / cones.degree
-        kkt_solve, kkt_apply = kkt(sq * cones.winv_sq[:m], cones.scalings())
+        kkt_solve = kkt(sq * cones.winv_sq[:m], cones.scalings())
         neg_rx = -rx
 
-        def newton(d_c, refine=True):
+        def newton(d_c):
             """Direction (dx, [ds; dz]), then W^-1 ds and W dz, for targets
             tgt = desired lambda o (W^-1 ds + W dz), given as d_c with
             lambda o d_c = tgt. Eliminations: dz = W^-2 (G dx + rz + W d_c),
-            leaving G' W^-2 G dx = rhs, and W^-1 ds = d_c - W dz, where W dz
-            is the first half of W^-2. ``refine`` checks the solve's residual.
+            leaving G' W^-2 G dx = -rx - G' W^-2 (rz + W d_c), and W^-1 ds =
+            d_c - W dz, where W dz is the first half of W^-2.
             """
-            nonlocal refinements
             r = rz + cones.apply(cones.W, d_c)
-            rhs = neg_rx - Gt(cones.apply(cones.Winv, r, twice=True))
-            dx = kkt_solve(rhs)
-            # one pass of iterative refinement where the residual shows
-            # factorization error: near the boundary the W^-2 recovery of dz
-            # amplifies it
-            if refine and (res := rhs - kkt_apply(dx)) @ res > 1e-20 * (rhs @ rhs):
-                dx += kkt_solve(res)
-                refinements += 1
+            dx = kkt_solve(neg_rx - Gt(cones.apply(cones.Winv, r, twice=True)))
             w_dz = cones.apply(cones.Winv, G(dx) + r)
             w_ds = d_c - w_dz
             return dx, np.array([cones.apply(cones.W, w_ds), cones.apply(cones.Winv, w_dz)]), w_ds, w_dz
 
         # predictor (affine scaling) direction, for -lambda o lambda: it only
-        # sets sigma and the second-order term, so its solve is not refined
-        _, dsza, w_dsa, w_dza = newton(-lam, refine=False)
+        # sets sigma and the second-order term
+        _, dsza, w_dsa, w_dza = newton(-lam)
         a_aff = min(1.0, 0.999 * cones.max_step(dsza))
         s_aff, z_aff = sz + a_aff * dsza
         sigma = min(max((max(float(s_aff @ z_aff), 0.0) / gap) ** 3, 1e-6), 0.9999)
@@ -502,7 +489,6 @@ def solve(
         gap=gap,
         dual_residual=dres,
         primal_residual=pres,
-        refinements=refinements,
     )
 
 
@@ -589,7 +575,7 @@ def phase_one(A, b: np.ndarray, kkt: Optional[KktHook] = None) -> ConicProgram:
     base = kkt if kkt is not None else dense_kkt(ConicProgram(c=np.zeros(n), A=A, b=b))
 
     def bordered(wts, scalings):
-        solve_base, apply_base = base(wts[:m], scalings)
+        solve_base = base(wts[:m], scalings)
         a = A.T @ wts[:m]
         sigma = float(wts.sum())
         m_a = solve_base(a)
@@ -600,10 +586,7 @@ def phase_one(A, b: np.ndarray, kkt: Optional[KktHook] = None) -> ConicProgram:
             s = (r[-1] + float(a @ x)) / schur
             return np.append(x + s * m_a, s)
 
-        def apply(x):
-            return np.append(apply_base(x[:-1]) - a * x[-1], sigma * x[-1] - float(a @ x[:-1]))
-
-        return solve_one, apply
+        return solve_one
 
     c1 = np.zeros(n + 1)
     c1[-1] = 1.0

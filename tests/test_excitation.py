@@ -1,10 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from thermobench import excitation
+from thermobench import excitation, solver
 from thermobench.errors import ValidationError
 from thermobench.excitation import (
     Experiment,
@@ -29,7 +30,7 @@ from thermobench.network import (
     two_zone_example,
 )
 from thermobench.simulator import OccupancySchedule, WeatherModel, weather_forecast
-from thermobench.solver import ConicProgram, dense_kkt, phase_one, solve
+from thermobench.solver import ConicProgram, phase_one, solve
 
 
 def table1():
@@ -321,9 +322,11 @@ class TestSelectOptimal:
         ``test_slack_budget_selects_and_resets_threshold`` the path changes
         in two ways, and e stays put:
 
-        - ``refine``: a Newton hook that refines every solve once by its
-          residual gives the same e to 1e-9. The change is small; bounds
-          read off the interior-point path moved by only 1.5e-12 under it;
+        - ``refine``: every Newton solve of the LPs and of their phase one
+          is refined once by its residual against A' diag(wts) A, written
+          out here from the rows, and gives the same e to 1e-9. The change
+          is small; bounds read off the interior-point path moved by only
+          1.5e-12 under it;
         - ``start``: every LP starts from u = 0 with its slacks and unit
           multipliers instead of its own start. Bounds read off the path
           moved by 0.46 F under it. The LP stops at a relative gap of 1e-8,
@@ -338,18 +341,18 @@ class TestSelectOptimal:
 
         plain = select()
         if path == "refine":
-            hook = excitation._separation_kkt
-
-            def refining(*args):
-                kkt = hook(*args)
+            def refining(prob, *args, **kwargs):
+                A, kkt = prob.A.toarray(), prob.kkt
 
                 def refined_kkt(wts, scalings):
-                    solve_kkt, apply = kkt(wts, scalings)
-                    return (lambda r: (x := solve_kkt(r)) + solve_kkt(r - apply(x))), apply
+                    solve_kkt, M = kkt(wts, scalings), A.T @ (wts[:, None] * A)
+                    return lambda r: (x := solve_kkt(r)) + solve_kkt(r - M @ x)
 
-                return refined_kkt
+                return solve(replace(prob, kkt=refined_kkt), *args, **kwargs)
 
-            monkeypatch.setattr(excitation, "_separation_kkt", refining)
+            # the LPs call solve through excitation, their phase one through solver
+            monkeypatch.setattr(excitation, "solve", refining)
+            monkeypatch.setattr(solver, "solve", refining)
         else:
             def from_zero(prob, start=None, **kwargs):
                 x = np.zeros(prob.n)
@@ -410,18 +413,17 @@ def backward_error(M, x, r):
 @pytest.mark.parametrize("heaters", [2, 1])
 @pytest.mark.parametrize("h", [4, 32, 96])
 def test_separation_hooks_match_dense(h, heaters):
-    """The separation LP's hook and the bordered phase-one hook against
-    ``dense_kkt`` on their own rows, with row weights spread over exp(+-18)
-    as near convergence. The rows do not depend on the case (pair or single)
-    or the direction, only the costs do, so the buildings vary instead: two
-    heaters (h*m = h*n) and one (h*m < h*n).
+    """The separation LP's hook and the bordered phase-one hook against the
+    dense matrix A' diag(wts) A of their own rows, with row weights spread
+    over exp(+-18) as near convergence. The rows do not depend on the case
+    (pair or single) or the direction, only the costs do, so the buildings
+    vary instead: two heaters (h*m = h*n) and one (h*m < h*n).
 
-    ``apply`` is compared with the dense hook's. Two solves of one system
-    agree only to its condition number, which reaches 1e13 here even after
-    Jacobi scaling, so ``solve`` is held to a backward error of 1e-10 on the
-    dense matrix A' diag(wts) A; the dense hook itself reaches only 4e-9
-    there at these weights, through the absolute 1e-12 diagonal shift of
-    ``factor_newton`` on diagonals as small as exp(-18)."""
+    Two solves of one system agree only to its condition number, which
+    reaches 1e13 here even after Jacobi scaling, so each solve is held to a
+    backward error of 1e-10 on that matrix; ``dense_kkt`` itself reaches
+    only 4e-9 there at these weights, through the absolute 1e-12 diagonal
+    shift of ``factor_newton`` on diagonals as small as exp(-18)."""
     rng = np.random.default_rng(h + heaters)
     model = table1_model() if heaters == 2 else single_heater_model()[1]
     program, _ = separation_setup(model, h, 1 if h < 32 else 8)
@@ -430,11 +432,8 @@ def test_separation_hooks_match_dense(h, heaters):
         A = prog.A.toarray()
         for _ in range(3):
             wts = np.exp(rng.uniform(-18.0, 18.0, size=A.shape[0]))
-            r, x = rng.normal(size=(2, A.shape[1]))
-            solve_kkt, apply = prog.kkt(wts, [])
-            _, apply_dense = dense_kkt(prog)(wts, [])
-            assert backward_error(A.T @ (wts[:, None] * A), solve_kkt(r), r) <= 1e-10
-            assert np.linalg.norm(apply(x) - apply_dense(x)) <= 1e-10 * np.linalg.norm(apply_dense(x))
+            r = rng.normal(size=A.shape[1])
+            assert backward_error(A.T @ (wts[:, None] * A), prog.kkt(wts, [])(r), r) <= 1e-10
 
 
 @pytest.mark.parametrize("heaters", [2, 1])

@@ -105,7 +105,7 @@ def random_scaling(rng, size):
 @PROPERTY
 @given(h=st.integers(1, 6), q_togo=st.sampled_from([1.0, 0.0]), seed=st.integers(0, 2**32 - 1))
 def test_condensed_kkt_matches_dense(h, q_togo, seed):
-    """The condensed hook solves and applies the reduced Newton matrix that
+    """The condensed hook solves with the reduced Newton matrix that
     ``dense_kkt`` assembles from the program's rows, to 1e-9 relative, over
     random row weights and NT scalings at small horizons."""
     rng = np.random.default_rng(seed)
@@ -116,10 +116,6 @@ def test_condensed_kkt_matches_dense(h, q_togo, seed):
     prog = _condense(problem)[0]
     wts = np.exp(rng.uniform(-3.0, 3.0, size=prog.m))
     scalings = [random_scaling(rng, size) for size in prog.cones]
-    solve, apply = prog.kkt(wts, scalings)
-    solve_ref, apply_ref = dense_kkt(prog)(wts, scalings)
-    r, x = rng.normal(size=prog.n), rng.normal(size=prog.n)
-    ref = solve_ref(r)
-    assert np.linalg.norm(solve(r) - ref) <= 1e-9 * np.linalg.norm(ref)
-    ref = apply_ref(x)
-    assert np.linalg.norm(apply(x) - ref) <= 1e-9 * np.linalg.norm(ref)
+    r = rng.normal(size=prog.n)
+    ref = dense_kkt(prog)(wts, scalings)(r)
+    assert np.linalg.norm(prog.kkt(wts, scalings)(r) - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -152,60 +152,6 @@ def test_find_strictly_feasible_operator_rows():
         assert np.max(np.abs(x_rows - x_dense)) <= 1e-12 * (1.0 + np.max(np.abs(x_dense)))
 
 
-def counted_hook(prob, noise=0.0):
-    """``dense_kkt`` of prob with its factorizations and its solve and apply
-    calls counted. Each solve after the first of its factorization is
-    perturbed by ``noise`` relative along a fixed direction; the first is
-    the predictor's, which only sets the corrector's targets."""
-    calls = {"build": 0, "solve": 0, "apply": 0}
-    q = np.random.default_rng(0).normal(size=prob.n)
-    q /= np.linalg.norm(q)
-    exact = dense_kkt(prob)
-
-    def kkt(wts, scalings):
-        calls["build"] += 1
-        solve_exact, apply = exact(wts, scalings)
-        first = calls["solve"]
-
-        def solve_counted(r):
-            calls["solve"] += 1
-            x = solve_exact(r)
-            return x if calls["solve"] == first + 1 else x + noise * np.linalg.norm(x) * q
-
-        def apply_counted(x):
-            calls["apply"] += 1
-            return apply(x)
-
-        return solve_counted, apply_counted
-
-    return kkt, calls
-
-
-def test_newton_refines_only_on_demand():
-    """The predictor's Newton solve, the first of each factorization, is
-    never checked. Each corrector or safeguard solve applies the hook once
-    to check its residual, and solves a second time only when that residual
-    exceeds 1e-10 of the right side: never with an exact factor, always with
-    one whose later solves are off by 1e-6, whose refined direction is still
-    exact to rounding. Two iterations from one start, with either hook, end
-    at the same iterate."""
-    A, b = box_rows(3, 0.0, 1.0)
-    A = np.vstack([A, np.ones((1, 3))])
-    b = np.append(b, 2.0)
-    base = ConicProgram(c=np.array([1.0, -2.0, 0.5]), A=A, b=b)
-    start = primal_start(base, np.array([0.3, 0.4, 0.2]))
-    ends = []
-    for noise in (0.0, 1e-6):
-        kkt, calls = counted_hook(base, noise)
-        sol = solve(ConicProgram(c=base.c, A=A, b=b, kkt=kkt), start, max_iter=2)
-        checked = calls["apply"]
-        assert calls["build"] == 2 and checked >= 2
-        assert sol.refinements == (0 if noise == 0 else checked)
-        assert calls["solve"] == calls["build"] + checked + sol.refinements
-        ends.append(sol.x)
-    assert np.linalg.norm(ends[1] - ends[0]) <= 1e-10 * np.linalg.norm(ends[0])
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_several_cones_project_blockwise(seed):
     # minimize sum_k t_k with ||x_k - z_k|| <= t_k over the unit box: the

@@ -141,8 +141,8 @@ def compare(path_a: Path, path_b: Path) -> None:
     for kind in KINDS:
         x, y = ta[kind], tb[kind]
         mean_x, mean_y = (t["iterations"] / max(t["solves"], 1) for t in (x, y))
-        ref_x, ref_y = ("n/a" if np.isnan(t["refinements"]) else f"{t['refinements'] / max(t['solves'], 1):.2f}"
-                        for t in (x, y))
+        ref_x, ref_y = ("n/a" if np.isnan(t["refinements"]) or not t["solves"]
+                        else f"{t['refinements'] / t['solves']:.2f}" for t in (x, y))
         print(f"  {kind:<6} solves {x['solves']:>5} -> {y['solves']:<5}"
               f" iterations {x['iterations']:>6} -> {y['iterations']:<6}"
               f" mean {mean_x:6.2f} -> {mean_y:<6.2f} worst {x['worst']:>3} -> {y['worst']:<3}"

@@ -524,8 +524,9 @@ def test_each_factorization_serves_two_or_three_solves(true_model_week_seed29, m
     solve_ipm, max_step = mpc_module.solve, solver._Cones.max_step
 
     def searching(cones, du):
-        builds[-1]["steps"].append(max_step(cones, du))
-        return builds[-1]["steps"][-1]
+        a = max_step(cones, du)
+        builds[-1]["steps"].append(a)
+        return a
 
     def counting(prog, *args, **kwargs):
         def counted(wts, scalings):

@@ -2,15 +2,13 @@
 estimation, predictive control, and targeted self-excitation."""
 
 from .network import (
-    ContinuousDynamics,
     DiscreteDynamics,
     Edge,
     Node,
     ParameterVector,
     ThermalNetwork,
-    assemble_continuous,
-    continuous_from_network,
     discretize,
+    generator,
     load_network,
     minimal_parameterization,
     two_zone_example,

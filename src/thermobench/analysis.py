@@ -113,16 +113,15 @@ def compute_metrics(trace: SimulationTrace) -> ScenarioMetrics:
 
     Discomfort is the RMS of bound violations of the realized true zone
     temperatures against the scheduled bounds; energy is the accumulated
-    control effort (dimensionless heater on-time).
+    control effort (dimensionless heater on-time), per heater.
     """
     K = len(trace)
     n_zones = len(trace.zone_ids)
+    energy = np.zeros(len(trace.heated_ids))
     if K == 0:
-        zero = np.zeros(n_zones)
-        return ScenarioMetrics(0.0, 0.0, zero, zero.copy(), 0)
+        return ScenarioMetrics(0.0, 0.0, np.zeros(n_zones), energy, 0)
     zone_pos = [trace.node_ids.index(z) for z in trace.zone_ids]
     sq = np.zeros(n_zones)
-    energy = np.zeros(n_zones)
     for row in trace.rows:
         T = row.true_temps[zone_pos]
         low = np.maximum(row.r_min - T, 0.0)

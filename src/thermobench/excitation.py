@@ -394,9 +394,7 @@ def _separation_lp(case, direction, program, forecast, zones):
         return None
     u_opt = np.clip(sol.x, 0.0, 1.0)
     T = (G @ u_opt + d).reshape(h, n)
-    J = sum(
-        _step_separation(case, T[k], forecast[k], zones) for k in range(h)
-    ) / n
+    J = _trajectory_separation(case, T, forecast, zones)
     # the bounds halfway up from e_lo to the planned temperatures, the centre
     # of the interval the LP leaves free
     e_lo, e_hi = program.e_lo, program.e_hi

@@ -37,7 +37,6 @@ from .network import (
     DiscreteDynamics,
     ParameterVector,
     ThermalNetwork,
-    assemble_continuous,
     discretize,
     minimal_parameterization,
 )
@@ -214,21 +213,24 @@ class _Run:
         self.plant = PlantModel(net)
         self.weather = replace(config.weather, seed=config.seed)
         self.plant_state = self.plant.initial_state(config.initial_temps, self.weather)
-        truth_model = discretize(assemble_continuous(truth, net), config.dt)
+        truth_model = discretize(truth, net, config.dt)
         self.th_cfg = ThermostatConfig(config.schedule,
                                        compute_preheat(truth_model, config.schedule))
         # the control model, when it does not follow the estimate
         self.fixed_model: Optional[DiscreteDynamics] = None
         frozen = config.frozen_params
         if frozen is not None:
-            self.fixed_model = discretize(assemble_continuous(frozen, net), config.dt)
+            self.fixed_model = discretize(frozen, net, config.dt)
         elif not config.estimator:
             self.fixed_model = truth_model
-        zones = self.plant.discrete.internal_ids
+        zones, heated = net.internal_ids, net.heated_ids
         self.zone_rows = np.array([net.index_of(z_id) for z_id in zones])
-        self.th_state = ThermostatState.initial(len(self.plant.discrete.heated_ids))
-        self.u_prev = np.zeros(len(self.plant.discrete.heated_ids))
-        self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=tuple(zones))
+        # the heated zones' positions among the zones: the thermostat's rows
+        self.heated = [zones.index(z_id) for z_id in heated]
+        self.th_state = ThermostatState.initial(len(heated))
+        self.u_prev = np.zeros(len(heated))
+        self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=zones,
+                                     heated_ids=heated)
         self.selector = config.selector
         # the latest MPC solution, which the next solve starts from
         self.last_mpc: Optional[MpcSolution] = None
@@ -394,7 +396,7 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
     back to the thermostat, and a step inside an experiment is so labelled."""
     config = run.config
     row = run.experiment.bounds_row(step.t, config.dt) if run.experiment is not None else None
-    override = row
+    override = None if row is None else row[run.heated]
     mode = step.mode
     u = np.zeros(len(run.u_prev))
     if mode == "mpc":
@@ -416,11 +418,11 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
             ))
             mode = "thermostat-fallback"
     elif mode == "protocol-uniform":
-        occ = np.full(len(step.temps), config.schedule.r_min_occ)
-        override = occ if row is None else np.fmax(occ, row)
+        occ = np.full(len(run.heated), config.schedule.r_min_occ)
+        override = occ if override is None else np.fmax(occ, override)
     if mode in ("thermostat", "thermostat-fallback", "protocol-uniform"):
         u, run.th_state = thermostat_control(
-            step.temps, step.t, run.th_state, run.th_cfg, override_r_min=override,
+            step.temps[run.heated], step.t, run.th_state, run.th_cfg, override_r_min=override,
         )
     return u, mode if row is None else "excitation"
 
@@ -471,8 +473,7 @@ def _control_model(run: _Run, step: _Step) -> DiscreteDynamics:
     when it does not follow the estimate)."""
     if step.model is None:
         step.model = run.fixed_model if run.fixed_model is not None else discretize(
-            assemble_continuous(_estimated_params(run), run.config.network), run.config.dt
-        )
+            _estimated_params(run), run.config.network, run.config.dt)
     return step.model
 
 
@@ -532,7 +533,7 @@ def write_report(report: RunReport, config: ScenarioConfig, out_dir: Path) -> No
 def _write_trace(trace: SimulationTrace, path: Path) -> None:
     node_cols_true = [f"T{nid}_true" for nid in trace.node_ids]
     node_cols_meas = [f"T{nid}_meas" for nid in trace.node_ids]
-    zone_u = [f"u_zone{zid}" for zid in trace.zone_ids]
+    zone_u = [f"u_zone{zid}" for zid in trace.heated_ids]
     zone_rmin = [f"r_min_zone{zid}" for zid in trace.zone_ids]
     zone_rmax = [f"r_max_zone{zid}" for zid in trace.zone_ids]
     header = (

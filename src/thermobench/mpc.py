@@ -20,7 +20,7 @@ from scipy.linalg.blas import dsyr
 
 from .errors import SolverFailure, ValidationError
 from .network import DiscreteDynamics
-from .simulator import MINUTES_PER_DAY, OccupancySchedule, WeatherModel, weather_forecast
+from .simulator import OccupancySchedule, WeatherModel, weather_forecast
 from .solver import ConicProgram, RowOperator, factor_newton, solve
 
 
@@ -501,12 +501,8 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
 
 def horizon_bounds(sched: OccupancySchedule, t: float, h: int, dt: float,
                    n_zones: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scheduled comfort bounds for T(1..h) starting at time t: the rule of
-    ``OccupancySchedule.is_occupied`` at once over the h step times."""
-    times = t + np.arange(1, h + 1) * dt
-    clock = times % MINUTES_PER_DAY
-    occupied = (np.isin(times // MINUTES_PER_DAY % 7, sched.occupied_days)
-                & (sched.occupied_start <= clock) & (clock < sched.occupied_end))[:, None]
+    """Scheduled comfort bounds for T(1..h) starting at time t."""
+    occupied = sched.is_occupied(t + np.arange(1, h + 1) * dt)[:, None]
     return (np.where(occupied, sched.r_min_occ, sched.r_min_unocc).repeat(n_zones, axis=1),
             np.where(occupied, sched.r_max_occ, sched.r_max_unocc).repeat(n_zones, axis=1))
 

@@ -222,64 +222,28 @@ def minimal_parameterization(net: ThermalNetwork) -> ParameterVector:
     return pv
 
 
-@dataclass(frozen=True)
-class ContinuousDynamics:
-    """Continuous-time rate dynamics dT/dt = A T + B_ctrl u over all nodes.
+def generator(p: np.ndarray, q: np.ndarray, template: ParameterVector,
+              topology: ThermalNetwork) -> np.ndarray:
+    """Zero-order-hold generator over [internal nodes, ambient nodes, heaters].
 
-    Rows of external nodes are zero; their temperature is imposed externally.
-    ``node_ids`` fixes the ordering of A's rows/columns, ``heated_ids`` the
-    ordering of B_ctrl's columns.
+    Rows of internal nodes hold 1/p at each edge's neighbour and minus the
+    sum of those rates on the diagonal, and q at each heater's column; the
+    other rows are zero, so the held inputs stay constant. ``template``
+    supplies the edge and zone maps; ``p`` and ``q`` may carry leading axes,
+    one generator per row. Edges are written one by one, off-diagonal then
+    diagonal, so each diagonal sums its rates in edge order.
     """
-
-    A: np.ndarray
-    B_ctrl: np.ndarray
-    node_ids: tuple[int, ...]
-    external: tuple[bool, ...]
-    heated_ids: tuple[int, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def internal_idx(self) -> np.ndarray:
-        return np.flatnonzero(~np.asarray(self.external))
-
-    @property
-    def external_idx(self) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.external))
-
-
-def assemble_continuous(params: ParameterVector, topology: ThermalNetwork) -> ContinuousDynamics:
-    """Build the rate matrix A and control matrix B_ctrl from a parameter vector.
-
-    Off-diagonal A entries are reciprocals of the mapped RC products, each
-    diagonal entry is the negative sum of its row's off-diagonals, and
-    external-node rows stay zero.
-
-    Raises ``PhysicsViolationError`` if any p entry is non-positive: callers
-    that tolerate excursions (e.g. sigma-point propagation) must clamp first.
-    """
-    if np.any(params.p <= 0):
-        bad = [params.param_names()[k] for k in np.flatnonzero(params.p <= 0)]
-        raise PhysicsViolationError(f"non-positive RC products: {', '.join(bad)}")
-    n = len(topology.nodes)
-    idx = {nid: k for k, nid in enumerate(topology.node_ids)}
-    A = np.zeros((n, n))
-    for k, (i, j) in enumerate(params.edge_map):
-        A[idx[i], idx[j]] = 1.0 / params.p[k]
-    for r in range(n):
-        A[r, r] = -np.sum(A[r, :]) + A[r, r]
-    B = np.zeros((n, len(params.zone_map)))
-    for l, z in enumerate(params.zone_map):
-        B[idx[z], l] = params.q[l]
-    external = tuple(node.is_external for node in topology.nodes)
-    return ContinuousDynamics(A, B, topology.node_ids, external, params.zone_map)
-
-
-def continuous_from_network(net: ThermalNetwork) -> ContinuousDynamics:
-    """Convenience: parameterize and assemble in one step."""
-    return assemble_continuous(minimal_parameterization(net), net)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    cell = {nid: k for k, nid in enumerate(topology.internal_ids + topology.external_ids)}
+    n_x = len(cell)
+    M = np.zeros(p.shape[:-1] + (n_x + len(template.zone_map),) * 2)
+    rates = 1.0 / p
+    for k, (i, j) in enumerate(template.edge_map):
+        M[..., cell[i], cell[j]] = rates[..., k]
+        M[..., cell[i], cell[i]] -= rates[..., k]
+    for l, z in enumerate(template.zone_map):
+        M[..., cell[z], n_x + l] = q[..., l]
+    return M
 
 
 @dataclass(frozen=True)
@@ -303,31 +267,28 @@ class DiscreteDynamics:
         return len(self.internal_ids)
 
 
-def discretize(cont: ContinuousDynamics, dt: float) -> DiscreteDynamics:
-    """Zero-order-hold discretization via a single augmented matrix exponential."""
+def discretize(params: ParameterVector, topology: ThermalNetwork, dt: float) -> DiscreteDynamics:
+    """Zero-order-hold discretization: one matrix exponential of the generator.
+
+    Raises ``PhysicsViolationError`` if any p entry is non-positive: callers
+    that tolerate excursions (e.g. sigma-point propagation) must clamp first.
+    """
+    if np.any(params.p <= 0):
+        bad = [params.param_names()[k] for k in np.flatnonzero(params.p <= 0)]
+        raise PhysicsViolationError(f"non-positive RC products: {', '.join(bad)}")
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    int_idx = cont.internal_idx
-    ext_idx = cont.external_idx
-    n_i, n_e = len(int_idx), len(ext_idx)
-    m = cont.B_ctrl.shape[1]
-    A_ii = cont.A[np.ix_(int_idx, int_idx)]
-    A_ie = cont.A[np.ix_(int_idx, ext_idx)]
-    B_i = cont.B_ctrl[int_idx, :]
-    M = np.zeros((n_i + n_e + m, n_i + n_e + m))
-    M[:n_i, :n_i] = A_ii
-    M[:n_i, n_i:n_i + n_e] = A_ie
-    M[:n_i, n_i + n_e:] = B_i
-    E = expm(M * dt)
-    node_ids = np.asarray(cont.node_ids)
+    n_i = len(topology.internal_ids)
+    n_x = len(topology.nodes)
+    E = expm(generator(params.p, params.q, params, topology) * dt)
     return DiscreteDynamics(
         Phi=E[:n_i, :n_i],
-        Gamma_ext=E[:n_i, n_i:n_i + n_e],
-        Gamma_ctrl=E[:n_i, n_i + n_e:],
+        Gamma_ext=E[:n_i, n_i:n_x],
+        Gamma_ctrl=E[:n_i, n_x:],
         dt=float(dt),
-        internal_ids=tuple(int(v) for v in node_ids[int_idx]),
-        external_ids=tuple(int(v) for v in node_ids[ext_idx]),
-        heated_ids=cont.heated_ids,
+        internal_ids=topology.internal_ids,
+        external_ids=topology.external_ids,
+        heated_ids=params.zone_map,
     )
 
 

@@ -14,12 +14,7 @@ import functools
 import numpy as np
 
 from .errors import ValidationError
-from .network import (
-    DiscreteDynamics,
-    ThermalNetwork,
-    continuous_from_network,
-    discretize,
-)
+from .network import DiscreteDynamics, ThermalNetwork, discretize, minimal_parameterization
 
 MINUTES_PER_DAY = 1440.0
 
@@ -137,10 +132,13 @@ class OccupancySchedule:
         if not (self.r_min_unocc <= self.r_min_occ and self.r_max_occ <= self.r_max_unocc):
             raise ValidationError("occupied bounds must nest inside unoccupied bounds")
 
-    def is_occupied(self, t: float) -> bool:
-        day = int(t // MINUTES_PER_DAY) % 7
+    def is_occupied(self, t):
+        """Whether time t (minutes) is occupied. Accepts scalar or array time."""
+        t = np.asarray(t, dtype=float)
+        day = (t // MINUTES_PER_DAY % 7).astype(int)
         clock = t % MINUTES_PER_DAY
-        return day in self.occupied_days and self.occupied_start <= clock < self.occupied_end
+        weekly = np.array([d in self.occupied_days for d in range(7)])
+        return weekly[day] & (self.occupied_start <= clock) & (clock < self.occupied_end)
 
 
 def comfort_bounds(sched: OccupancySchedule, t: float, n_zones: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +171,7 @@ class PlantModel:
     def __init__(self, net: ThermalNetwork, substep: float = SUBSTEP):
         self.net = net
         self.substep = float(substep)
-        self._disc = discretize(continuous_from_network(net), self.substep)
+        self._disc = discretize(minimal_parameterization(net), net, self.substep)
         self._int_pos = [net.index_of(i) for i in self._disc.internal_ids]
         self._ext_pos = [net.index_of(i) for i in self._disc.external_ids]
 
@@ -245,11 +243,13 @@ class TraceRow:
 
 @dataclass
 class SimulationTrace:
-    """Uniform-grid record of a closed-loop scenario run."""
+    """Uniform-grid record of a closed-loop scenario run: temperatures by
+    node, comfort bounds by zone, controls by heated zone."""
 
     dt: float
     node_ids: tuple[int, ...]
     zone_ids: tuple[int, ...]
+    heated_ids: tuple[int, ...]
     rows: list[TraceRow] = field(default_factory=list)
 
     def append(self, row: TraceRow) -> None:

@@ -1,8 +1,8 @@
-"""Baseline thermostat: per-zone bang-bang with preheat lead and a hysteresis timer.
+"""Baseline thermostat: per-heater bang-bang with preheat lead and a hysteresis timer.
 
 The thermostat regulates each heated zone about the active lower comfort
 bound: heater on below the bound, off once the temperature clears the bound
-plus a deadband. Occupied bounds are activated early by a per-zone preheat
+plus a deadband. Occupied bounds are activated early by a per-heater preheat
 lead sized offline at a design ambient temperature, and switch events are
 separated by a minimum dwell so the controller cannot chatter.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreheatSizingError, ValidationError
 from .network import DiscreteDynamics
-from .simulator import OccupancySchedule, comfort_bounds
+from .simulator import OccupancySchedule
 
 
 @dataclass(frozen=True)
@@ -35,42 +35,42 @@ class ThermostatConfig:
 
 @dataclass(frozen=True)
 class ThermostatState:
-    """Per-zone actuator memory: last output and last switch instant."""
+    """Per-heater actuator memory: last output and last switch instant."""
 
     u_prev: np.ndarray
     last_switch: np.ndarray
 
     @classmethod
-    def initial(cls, n_zones: int) -> "ThermostatState":
-        return cls(np.zeros(n_zones), np.full(n_zones, -np.inf))
+    def initial(cls, n_heaters: int) -> "ThermostatState":
+        return cls(np.zeros(n_heaters), np.full(n_heaters, -np.inf))
 
 
 def compute_preheat(model: DiscreteDynamics, sched: OccupancySchedule,
                     design_ext_temp: float = 32.0,
                     max_hours: float = 48.0) -> tuple[float, ...]:
-    """Size the per-zone preheat lead at the design ambient temperature.
+    """Size the per-heater preheat lead at the design ambient temperature.
 
     Simulates the building from the unoccupied lower set point with every
     heater at full output and the ambient held at ``design_ext_temp``,
-    records when each zone first reaches the occupied lower set point, and
-    rounds those times up to whole steps of the model.
+    records when each heated zone first reaches the occupied lower set
+    point, and rounds those times up to whole steps of the model.
     """
-    n = model.n_internal
-    m = model.Gamma_ctrl.shape[1]
-    temps = np.full(n, sched.r_min_unocc)
+    heated = [model.internal_ids.index(z) for z in model.heated_ids]
+    temps = np.full(model.n_internal, sched.r_min_unocc)
     t_ext = np.full(len(model.external_ids), design_ext_temp)
-    reach = np.full(n, np.nan)
-    reach[temps >= sched.r_min_occ] = 0.0
+    u = np.ones(len(heated))
+    reach = np.full(len(heated), np.nan)
+    reach[temps[heated] >= sched.r_min_occ] = 0.0
     t = 0.0
     while t < max_hours * 60.0:
-        temps = model.Phi @ temps + model.Gamma_ext @ t_ext + model.Gamma_ctrl @ np.ones(m)
+        temps = model.Phi @ temps + model.Gamma_ext @ t_ext + model.Gamma_ctrl @ u
         t += model.dt
-        newly = (temps >= sched.r_min_occ) & np.isnan(reach)
+        newly = (temps[heated] >= sched.r_min_occ) & np.isnan(reach)
         reach[newly] = t
         if not np.any(np.isnan(reach)):
             break
     if np.any(np.isnan(reach)):
-        zone = int(np.array(model.internal_ids)[np.isnan(reach)][0])
+        zone = int(np.array(model.heated_ids)[np.isnan(reach)][0])
         raise PreheatSizingError(
             zone,
             f"zone {zone} cannot reach {sched.r_min_occ} at ambient "
@@ -80,15 +80,15 @@ def compute_preheat(model: DiscreteDynamics, sched: OccupancySchedule,
     return tuple(float(s * model.dt) for s in steps)
 
 
-def active_lower_bounds(cfg: ThermostatConfig, t: float, n_zones: int) -> np.ndarray:
-    """Lower bounds seen by the thermostat, with per-zone preheat lead applied."""
-    bounds = np.empty(n_zones)
-    for i in range(n_zones):
-        lead = cfg.preheat_minutes[i] if i < len(cfg.preheat_minutes) else 0.0
-        lo_now, _ = comfort_bounds(cfg.schedule, t, 1)
-        lo_led, _ = comfort_bounds(cfg.schedule, t + lead, 1)
-        bounds[i] = max(lo_now[0], lo_led[0])
-    return bounds
+def active_lower_bounds(cfg: ThermostatConfig, t: float, n_heaters: int) -> np.ndarray:
+    """Lower bounds seen by the thermostat, one per heater: the occupied
+    bound once t or t plus the heater's preheat lead is occupied."""
+    sched = cfg.schedule
+    leads = np.zeros(n_heaters)
+    preheat = cfg.preheat_minutes[:n_heaters]
+    leads[:len(preheat)] = preheat
+    occupied = sched.is_occupied(t) | sched.is_occupied(t + leads)
+    return np.where(occupied, sched.r_min_occ, sched.r_min_unocc)
 
 
 def thermostat_control(
@@ -100,9 +100,10 @@ def thermostat_control(
 ) -> tuple[np.ndarray, ThermostatState]:
     """One bang-bang decision. Returns the binary command and updated memory.
 
-    ``measured`` holds the zone temperatures in heater order. An experiment
-    may raise individual lower bounds through ``override_r_min``; the larger
-    of the scheduled (preheat-shifted) and override bound is regulated.
+    ``measured`` holds the heated zones' temperatures in heater order. An
+    experiment may raise individual lower bounds through ``override_r_min``,
+    also in heater order; the larger of the scheduled (preheat-shifted) and
+    override bound is regulated.
     """
     measured = np.asarray(measured, dtype=float)
     n = len(measured)

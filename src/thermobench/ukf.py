@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NumericalDegeneracyError, ValidationError
-from .network import ParameterVector, ThermalNetwork, minimal_parameterization
+from .network import ParameterVector, ThermalNetwork, generator, minimal_parameterization
 
 PARAM_FLOOR = 1e-8
 
@@ -184,10 +184,10 @@ class PredictResult:
 
 
 class UkfModel:
-    """Propagation context: topology, generator layout, cached names.
+    """Propagation context: topology, state positions, cached names.
 
-    The sigma-point map builds the internal-node transition from each
-    point's parameters with a matrix exponential; the ambient node and the
+    The sigma-point map exponentiates ``network.generator`` at each point's
+    parameters for the internal-node transition; the ambient node and the
     parameters are carried as random walks.
     """
 
@@ -200,25 +200,13 @@ class UkfModel:
         self.n_q = len(self.template.q)
         self._int_pos = [net.index_of(i) for i in net.internal_ids]
         self._ext_pos = [net.index_of(i) for i in net.external_ids]
-        # generator cells: internal nodes, then ambient nodes, then heaters
-        cell = {nid: k for k, nid in enumerate(net.internal_ids + net.external_ids)}
-        self._edge_cells = [(cell[i], cell[j]) for (i, j) in self.template.edge_map]
-        self._heater_rows = [cell[z] for z in self.template.zone_map]
-        self._heater_cols = [len(cell) + l for l in range(self.n_q)]
-        self._size = len(cell) + self.n_q
         self._names = self.template.param_names()
 
     def propagate_points(self, points: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
         """Advance every augmented point (one per row) by dt; parameters stay put."""
         n, n_p, n_i = self.n_nodes, self.n_p, len(self._int_pos)
-        rates = 1.0 / np.maximum(points[:, n:n + n_p], PARAM_FLOOR)
-        M = np.zeros((len(points), self._size, self._size))
-        # edge by edge, off-diagonal then diagonal: each cell sums in a fixed order
-        for k, (row, col) in enumerate(self._edge_cells):
-            M[:, row, col] += rates[:, k]
-            M[:, row, row] -= rates[:, k]
-        M[:, self._heater_rows, self._heater_cols] = np.maximum(points[:, n + n_p:], PARAM_FLOOR)
-        E = expm(M * dt)
+        params = np.maximum(points[:, n:], PARAM_FLOOR)
+        E = expm(generator(params[:, :n_p], params[:, n_p:], self.template, self.net) * dt)
         state_in = np.concatenate([
             points[:, self._int_pos], points[:, self._ext_pos],
             np.broadcast_to(u, (len(points), len(u))),

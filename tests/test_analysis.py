@@ -5,12 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from thermobench.analysis import compute_metrics, coordinate_names, nullspace_trace, rate_sensitivity
-from thermobench.network import (
-    assemble_continuous,
-    continuous_from_network,
-    minimal_parameterization,
-    two_zone_example,
-)
+from thermobench.network import generator, minimal_parameterization, two_zone_example
 from thermobench.simulator import SimulationTrace, TraceRow
 
 
@@ -24,12 +19,14 @@ def table1():
 # Jacobian, its own matrix exponential and its own SVD.
 
 def oracle_jacobian(temps, params, topology):
-    """Temperature block = rate matrix; parameter columns hold -(T_j - T_i)/p_k^2."""
+    """Temperature block = rate matrix (1/p_k at each edge, minus the row's
+    sum on the diagonal); parameter columns hold -(T_j - T_i)/p_k^2."""
     n, n_p = len(topology.nodes), len(params.p)
     J = np.zeros((n + n_p, n + n_p))
-    J[:n, :n] = assemble_continuous(params, topology).A
     idx = {nid: k for k, nid in enumerate(topology.node_ids)}
     for k, (i, j) in enumerate(params.edge_map):
+        J[idx[i], idx[j]] = 1.0 / params.p[k]
+        J[idx[i], idx[i]] -= 1.0 / params.p[k]
         J[idx[i], n + k] = -(temps[idx[j]] - temps[idx[i]]) / params.p[k] ** 2
     return J
 
@@ -87,7 +84,8 @@ class TestAugmentedJacobian:
     def test_temperature_block_is_rate_matrix(self):
         net, pv = table1()
         J = oracle_jacobian(np.array([70.0, 66.0, 20.0]), pv, net)
-        np.testing.assert_array_equal(J[:3, :3], continuous_from_network(net).A)
+        # table 1 lists its zones before the ambient node, as the generator does
+        np.testing.assert_array_equal(J[:3, :3], generator(pv.p, pv.q, pv, net)[:3, :3])
 
     def test_uniform_temperatures_kill_sensitivities(self):
         net, pv = table1()
@@ -115,8 +113,7 @@ class TestRateSensitivity:
         T = np.array([70.0, 64.0, 22.0])
 
         def rate(p_vec):
-            cont = assemble_continuous(pv.with_values(p_vec, pv.q), net)
-            return cont.A @ T
+            return generator(p_vec, pv.q, pv, net)[:3, :3] @ T
 
         S = rate_sensitivity(pv, net, T)
         for k in range(4):
@@ -250,7 +247,7 @@ class TestObservabilityMatrix:
 
 
 def make_trace(rows):
-    trace = SimulationTrace(dt=15.0, node_ids=(1, 2, 3), zone_ids=(1, 2))
+    trace = SimulationTrace(dt=15.0, node_ids=(1, 2, 3), zone_ids=(1, 2), heated_ids=(1, 2))
     for k, (temps, u, r_min, r_max) in enumerate(rows):
         trace.append(TraceRow(
             step=k, time=k * 15.0,

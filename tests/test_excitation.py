@@ -24,7 +24,6 @@ from thermobench.network import (
     Node,
     ParameterVector,
     ThermalNetwork,
-    continuous_from_network,
     discretize,
     minimal_parameterization,
     two_zone_example,
@@ -141,7 +140,8 @@ def make_candidate(weights):
 
 
 def table1_model(dt=15.0):
-    return discretize(continuous_from_network(two_zone_example()), dt)
+    net = two_zone_example()
+    return discretize(minimal_parameterization(net), net, dt)
 
 
 class TestSelectHeuristic:
@@ -176,7 +176,7 @@ class TestSelectHeuristic:
             edges=two_zone_example().edges,
             heat_rates={1: 0.001, 2: 0.001},
         )
-        model = discretize(continuous_from_network(net), 15.0)
+        model = discretize(minimal_parameterization(net), net, 15.0)
         cand = make_candidate([0.9, 0.8, 0.05])
         exp = select_heuristic(
             cand, np.array([70.0, 70.0, 20.0]), model, np.full(4, 20.0),
@@ -209,7 +209,7 @@ def single_heater_model():
         edges=(Edge(1, 2, 60.0), Edge(1, 3, 70.0), Edge(2, 3, 90.0)),
         heat_rates={1: 0.25},
     )
-    return net, discretize(continuous_from_network(net), 15.0)
+    return net, discretize(minimal_parameterization(net), net, 15.0)
 
 
 class TestSelectOptimal:

@@ -19,7 +19,7 @@ from thermobench.harness import (
     step_policy,
 )
 from thermobench.cli import load_scenario, main
-from thermobench.network import minimal_parameterization, two_zone_example
+from thermobench.network import Edge, Node, ThermalNetwork, minimal_parameterization, two_zone_example
 from thermobench.presets import (
     acquisition_config,
     acquisition_weather,
@@ -144,6 +144,38 @@ class TestRunScenario:
         report = run_scenario(tiny_config(duration_steps=4))
         assert report.status.startswith("degenerate:")
         assert len(report.trace) == 1
+
+
+def three_zone_two_heaters():
+    """Zones 1-3 in a row under one ambient node 4; zone 3 has no heater."""
+    return ThermalNetwork(
+        nodes=(Node(1, capacitance=17.0), Node(2, capacitance=10.0),
+               Node(3, capacitance=12.0), Node(4, is_external=True)),
+        edges=(Edge(1, 2, 150.0), Edge(2, 3, 40.0), Edge(1, 4, 60.0),
+               Edge(2, 4, 100.0), Edge(3, 4, 300.0)),
+        heat_rates={1: 0.18, 2: 0.22},
+    )
+
+
+@pytest.mark.parametrize("overrides", [
+    {"controller": "thermostat", "protocol": "acquisition", "duration_steps": 100},
+    {"controller": "mpc", "estimator": False, "force_mpc": True, "duration_steps": 6},
+])
+def test_unheated_zone_runs_under_both_controllers(tmp_path, overrides):
+    # the thermostat, its preheat and overrides, the energy metric and the
+    # u columns of trace.csv count heaters; temperatures and bounds count zones
+    config = tiny_config(network=three_zone_two_heaters(),
+                         initial_temps={1: 66.0, 2: 66.0, 3: 66.0}, **overrides)
+    report = run_scenario(config, tmp_path)
+    assert report.status == "ok" and len(report.trace) == config.duration_steps
+    assert report.metrics.energy_per_zone.shape == (2,)
+    assert report.metrics.discomfort_per_zone.shape == (3,)
+    assert report.metrics.energy == pytest.approx(sum(float(np.sum(r.u)) for r in report.trace.rows))
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+    assert [c for c in header if c.startswith("u_")] == ["u_zone1", "u_zone2"]
+    assert [c for c in header if c.startswith("r_min_")] == [f"r_min_zone{z}" for z in (1, 2, 3)]
+    modes = {r.mode for r in report.trace.rows}
+    assert ("mpc" in modes) == (overrides["controller"] == "mpc")
 
 
 class TestStepPolicy:

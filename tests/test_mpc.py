@@ -23,7 +23,6 @@ from thermobench.network import (
     Edge,
     Node,
     ThermalNetwork,
-    continuous_from_network,
     discretize,
     minimal_parameterization,
     two_zone_example,
@@ -67,11 +66,12 @@ def single_zone_model(dt=15.0):
         edges=(Edge(1, 2, 80.0),),
         heat_rates={1: 0.2},
     )
-    return discretize(continuous_from_network(net), dt)
+    return discretize(minimal_parameterization(net), net, dt)
 
 
 def table1_model(dt=15.0):
-    return discretize(continuous_from_network(two_zone_example()), dt)
+    net = two_zone_example()
+    return discretize(minimal_parameterization(net), net, dt)
 
 
 def flat_bounds(h, n, lo=68.0, hi=72.0):
@@ -561,7 +561,7 @@ def test_shifted_start_moves_each_horizon_group(true_model_week_seed29):
     nxt, _ = solved[465.0]
     x, s, z = previous.point
     groups = _condense(nxt)[2].groups
-    h, n, m = 96, 2, 2
+    h, n, m = nxt.config.horizon, nxt.model.n_internal, nxt.model.Gamma_ctrl.shape[1]
     nu, nw = h * m, h * n
     x1, s1, z1 = _warm_start(previous, nxt, groups)
 
@@ -582,10 +582,11 @@ def test_shifted_start_moves_each_horizon_group(true_model_week_seed29):
         np.testing.assert_array_equal(v1[rms + 1 + nw:], v[rms + 1 + nw:])
     assert len(s1) == rms + 1 + nw + 1 + n
     # no overlap, a failed previous solve or a different layout: a cold start
-    assert _warm_start(previous, replace(nxt, t=nxt.t + 96 * 15.0), groups) is None
+    assert _warm_start(previous, replace(nxt, t=nxt.t + h * nxt.model.dt), groups) is None
     assert _warm_start(replace(previous, status="stalled"), nxt, groups) is None
-    short = replace(nxt, config=replace(nxt.config, horizon=48), forecast=nxt.forecast[:48],
-                    r_min=nxt.r_min[:48], r_max=nxt.r_max[:48], r=nxt.r[:48])
+    k = h // 2
+    short = replace(nxt, config=replace(nxt.config, horizon=k), forecast=nxt.forecast[:k],
+                    r_min=nxt.r_min[:k], r_max=nxt.r_max[:k], r=nxt.r[:k])
     assert _warm_start(previous, short, _condense(short)[2].groups) is None
 
 
@@ -607,7 +608,7 @@ def test_horizon_is_shared_only_by_the_same_model_and_config(true_model_week_see
         assert np.array_equal(got, ref)
     no_togo = solve_mpc(replace(nxt, config=replace(nxt.config, Q_togo=0.0)), previous)
     assert no_togo.horizon is not previous.horizon
-    assert no_togo.horizon.program.cones == (1 + 96 * 2,)
+    assert no_togo.horizon.program.cones == (1 + nxt.config.horizon * nxt.model.n_internal,)
 
 
 def smoothed_cost(problem, G, d, eps=1e-7):

@@ -3,13 +3,11 @@ import pytest
 
 from thermobench.errors import PhysicsViolationError, ValidationError
 from thermobench.network import (
-    ContinuousDynamics,
     Edge,
     Node,
     ThermalNetwork,
-    assemble_continuous,
-    continuous_from_network,
     discretize,
+    generator,
     load_network,
     minimal_parameterization,
     two_zone_example,
@@ -76,23 +74,34 @@ class TestMinimalParameterization:
             )
 
 
+def network_generator(net):
+    pv = minimal_parameterization(net)
+    return generator(pv.p, pv.q, pv, net)
+
+
+def model(net, dt):
+    return discretize(minimal_parameterization(net), net, dt)
+
+
 class TestAssembleContinuous:
+    """``generator``: the continuous-time assembly over [internal, ambient, heaters]."""
+
     def test_two_zone_entries_exact(self):
-        cont = continuous_from_network(two_zone_example())
-        A = cont.A
-        assert abs(A[0, 1] - 1.0 / 2550.0) < 1e-12
-        assert abs(A[0, 2] - 1.0 / 1020.0) < 1e-12
-        assert abs(A[1, 0] - 1.0 / 1500.0) < 1e-12
-        assert abs(A[1, 2] - 1.0 / 1000.0) < 1e-12
-        assert abs(A[0, 0] + (1.0 / 2550.0 + 1.0 / 1020.0)) < 1e-12
-        assert abs(A[1, 1] + (1.0 / 1500.0 + 1.0 / 1000.0)) < 1e-12
-        np.testing.assert_allclose(A[2, :], 0.0)
-        # B_ctrl is diagonal over heated zones with the heater rates
-        np.testing.assert_allclose(cont.B_ctrl[:2, :], np.diag([0.18, 0.22]))
+        M = network_generator(two_zone_example())
+        assert abs(M[0, 1] - 1.0 / 2550.0) < 1e-12
+        assert abs(M[0, 2] - 1.0 / 1020.0) < 1e-12
+        assert abs(M[1, 0] - 1.0 / 1500.0) < 1e-12
+        assert abs(M[1, 2] - 1.0 / 1000.0) < 1e-12
+        assert abs(M[0, 0] + (1.0 / 2550.0 + 1.0 / 1020.0)) < 1e-12
+        assert abs(M[1, 1] + (1.0 / 1500.0 + 1.0 / 1000.0)) < 1e-12
+        # the ambient and heater rows are zero: held inputs
+        np.testing.assert_allclose(M[2:, :], 0.0)
+        # the heater block is diagonal over heated zones with the heater rates
+        np.testing.assert_allclose(M[:2, 3:], np.diag([0.18, 0.22]))
 
     def test_matches_direct_construction(self):
         net = path_three_plus_external()
-        cont = continuous_from_network(net)
+        M = network_generator(net)
         # Independent construction straight from R and C
         direct = np.zeros((4, 4))
         direct[0, 1] = 1.0 / (10.0 * 5.0)
@@ -102,22 +111,22 @@ class TestAssembleContinuous:
         direct[2, 1] = 1.0 / (20.0 * 7.0)
         for r in range(3):
             direct[r, r] = -direct[r].sum()
-        np.testing.assert_allclose(cont.A, direct, atol=1e-12)
+        np.testing.assert_allclose(M[:4, :4], direct, atol=1e-12)
+        np.testing.assert_allclose(M[:, 4], [0.1, 0.0, 0.0, 0.0, 0.0])
 
     def test_isolated_node_row_zero(self):
         net = ThermalNetwork(nodes=(Node(1, capacitance=2.0),), edges=(), heat_rates={1: 0.5})
-        cont = continuous_from_network(net)
-        np.testing.assert_allclose(cont.A, [[0.0]])
+        np.testing.assert_allclose(network_generator(net), [[0.0, 0.5], [0.0, 0.0]])
 
     def test_uniform_temperature_is_stationary(self):
-        cont = continuous_from_network(two_zone_example())
-        np.testing.assert_allclose(cont.A @ np.full(3, 71.3), 0.0, atol=1e-12)
+        M = network_generator(two_zone_example())
+        np.testing.assert_allclose(M[:, :3] @ np.full(3, 71.3), 0.0, atol=1e-12)
 
     def test_rejects_nonpositive_parameter(self):
         pv = minimal_parameterization(two_zone_example())
         bad = pv.with_values(pv.p * np.array([1, 1, -1, 1]), pv.q)
         with pytest.raises(PhysicsViolationError):
-            assemble_continuous(bad, two_zone_example())
+            discretize(bad, two_zone_example(), 15.0)
 
     def test_row_sum_property_random_networks(self):
         rng = np.random.default_rng(7)
@@ -131,17 +140,26 @@ class TestAssembleContinuous:
                 j = int(rng.integers(1, i))
                 edges.append(Edge(i, j, float(rng.uniform(5, 200))))
             net = ThermalNetwork(tuple(nodes), tuple(edges))
-            cont = continuous_from_network(net)
-            off = cont.A - np.diag(np.diag(cont.A))
+            A = network_generator(net)
+            off = A - np.diag(np.diag(A))
             assert np.all(off >= 0)
             n = len(net.nodes)
-            np.testing.assert_allclose(cont.A.sum(axis=1), 0.0, atol=n * np.finfo(float).eps * 10)
+            np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=n * np.finfo(float).eps * 10)
+
+    def test_leading_axes_give_one_generator_per_row(self):
+        net = two_zone_example()
+        pv = minimal_parameterization(net)
+        P = pv.p * np.array([[1.0], [2.0], [0.5]])
+        Q = pv.q * np.array([[1.0], [3.0], [2.0]])
+        stack = generator(P, Q, pv, net)
+        assert stack.shape == (3, 5, 5)
+        for k in range(3):
+            np.testing.assert_array_equal(stack[k], generator(P[k], Q[k], pv, net))
 
 
 class TestDiscretize:
     def test_dt_to_zero_limit(self):
-        cont = continuous_from_network(two_zone_example())
-        d = discretize(cont, 1e-9)
+        d = model(two_zone_example(), 1e-9)
         assert np.linalg.norm(d.Phi - np.eye(2)) < 1e-6
         assert np.linalg.norm(d.Gamma_ext) < 1e-6
         assert np.linalg.norm(d.Gamma_ctrl) < 1e-6
@@ -152,21 +170,18 @@ class TestDiscretize:
             nodes=(Node(1, capacitance=1.0), Node(2, is_external=True)),
             edges=(Edge(1, 2, 1000.0),),
         )
-        d = discretize(continuous_from_network(net), 15.0)
+        d = model(net, 15.0)
         assert abs(d.Phi[0, 0] - np.exp(-1e-3 * 15.0)) < 1e-12
         assert abs(d.Phi[0, 0] - 0.985112) < 1e-6
 
     def test_conservation_row_sums(self):
-        cont = continuous_from_network(two_zone_example())
-        d = discretize(cont, 15.0)
+        d = model(two_zone_example(), 15.0)
         total = d.Phi.sum(axis=1) + d.Gamma_ext.sum(axis=1)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_semigroup_property(self):
-        cont = continuous_from_network(two_zone_example())
-        d1 = discretize(cont, 6.0)
-        d2 = discretize(cont, 9.0)
-        d15 = discretize(cont, 15.0)
+        net = two_zone_example()
+        d1, d2, d15 = model(net, 6.0), model(net, 9.0), model(net, 15.0)
         np.testing.assert_allclose(d2.Phi @ d1.Phi, d15.Phi, atol=1e-10)
         np.testing.assert_allclose(
             d2.Phi @ d1.Gamma_ext + d2.Gamma_ext, d15.Gamma_ext, atol=1e-10
@@ -176,15 +191,13 @@ class TestDiscretize:
         )
 
     def test_eigenvalues_stable(self):
-        cont = continuous_from_network(two_zone_example())
-        d = discretize(cont, 15.0)
+        d = model(two_zone_example(), 15.0)
         eig = np.linalg.eigvals(d.Phi)
         assert np.all(np.abs(np.imag(eig)) < 1e-12)
         assert np.all(np.real(eig) > 0) and np.all(np.real(eig) <= 1)
 
     def test_free_response_converges_to_ambient(self):
-        cont = continuous_from_network(two_zone_example())
-        d = discretize(cont, 15.0)
+        d = model(two_zone_example(), 15.0)
         t_ext = np.array([20.0])
         temps = np.array([70.0, 65.0])
         prev_gap = np.max(np.abs(temps - 20.0))

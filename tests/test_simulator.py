@@ -285,3 +285,18 @@ class TestSchedule:
     def test_bounds_nesting_enforced(self):
         with pytest.raises(ValidationError):
             OccupancySchedule(r_min_occ=55.0)
+
+    def test_array_time_matches_scalar_rule(self):
+        sched = OccupancySchedule(occupied_days=(0, 2, 6), occupied_start=7 * 60.0)
+
+        def rule(t):
+            day, clock = int(t // 1440.0) % 7, t % 1440.0
+            return day in sched.occupied_days and sched.occupied_start <= clock < sched.occupied_end
+
+        edges = [d * 1440.0 + c for d in range(8) for c in (0.0, 7 * 60.0, 18 * 60.0)]
+        times = np.concatenate([np.arange(-1440.0, 9 * 1440.0, 7.5), edges,
+                                np.nextafter(edges, -np.inf)])
+        got = sched.is_occupied(times)
+        assert got.shape == times.shape
+        assert got.tolist() == [rule(t) for t in times]
+        assert all(bool(sched.is_occupied(t)) == rule(t) for t in times[::37])

@@ -6,8 +6,8 @@ from thermobench.network import (
     Edge,
     Node,
     ThermalNetwork,
-    continuous_from_network,
     discretize,
+    minimal_parameterization,
     two_zone_example,
 )
 from thermobench.simulator import OccupancySchedule
@@ -21,7 +21,8 @@ from thermobench.thermostat import (
 
 
 def table1_model(dt=15.0):
-    return discretize(continuous_from_network(two_zone_example()), dt)
+    net = two_zone_example()
+    return discretize(minimal_parameterization(net), net, dt)
 
 
 class TestComputePreheat:
@@ -38,7 +39,8 @@ class TestComputePreheat:
             edges=two_zone_example().edges,
             heat_rates={1: 0.36, 2: 0.44},
         )
-        strong = compute_preheat(discretize(continuous_from_network(strong_net), 15.0), sched)
+        strong_model = discretize(minimal_parameterization(strong_net), strong_net, 15.0)
+        strong = compute_preheat(strong_model, sched)
         assert all(s < b for s, b in zip(strong, base))
 
     def test_table1_regression_values(self):
@@ -52,7 +54,7 @@ class TestComputePreheat:
             edges=two_zone_example().edges,
             heat_rates={1: 0.001, 2: 0.22},
         )
-        model = discretize(continuous_from_network(weak_net), 15.0)
+        model = discretize(minimal_parameterization(weak_net), weak_net, 15.0)
         with pytest.raises(PreheatSizingError) as err:
             compute_preheat(model, OccupancySchedule(), max_hours=12.0)
         assert err.value.zone_id == 1

@@ -226,7 +226,7 @@ class _Run:
         zones, heated = net.internal_ids, net.heated_ids
         self.zone_rows = np.array([net.index_of(z_id) for z_id in zones])
         # the heated zones' positions among the zones: the thermostat's rows
-        self.heated = [zones.index(z_id) for z_id in heated]
+        self.heated = np.array([zones.index(z_id) for z_id in heated], dtype=int)
         self.th_state = ThermostatState.initial(len(heated))
         self.u_prev = np.zeros(len(heated))
         self.trace = SimulationTrace(dt=config.dt, node_ids=net.node_ids, zone_ids=zones,

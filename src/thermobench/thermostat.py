@@ -84,11 +84,11 @@ def active_lower_bounds(cfg: ThermostatConfig, t: float, n_heaters: int) -> np.n
     """Lower bounds seen by the thermostat, one per heater: the occupied
     bound once t or t plus the heater's preheat lead is occupied."""
     sched = cfg.schedule
-    leads = np.zeros(n_heaters)
+    times = np.full(n_heaters + 1, t)
     preheat = cfg.preheat_minutes[:n_heaters]
-    leads[:len(preheat)] = preheat
-    occupied = sched.is_occupied(t) | sched.is_occupied(t + leads)
-    return np.where(occupied, sched.r_min_occ, sched.r_min_unocc)
+    times[1:len(preheat) + 1] += preheat
+    occupied = sched.is_occupied(times)
+    return np.where(occupied[0] | occupied[1:], sched.r_min_occ, sched.r_min_unocc)
 
 
 def thermostat_control(

@@ -197,7 +197,6 @@ class UkfModel:
         self.template = minimal_parameterization(net)
         self.n_nodes = len(net.nodes)
         self.n_p = len(self.template.p)
-        self.n_q = len(self.template.q)
         self._int_pos = [net.index_of(i) for i in net.internal_ids]
         self._ext_pos = [net.index_of(i) for i in net.external_ids]
         self._names = self.template.param_names()

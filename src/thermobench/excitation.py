@@ -44,16 +44,22 @@ class Experiment:
     target: tuple[int, ...]
     e: np.ndarray
     start_time: float
-    h_s: int
 
     def active(self, t: float, dt: float) -> bool:
-        return self.start_time <= t < self.start_time + self.h_s * dt
+        return self.start_time <= t < self.start_time + len(self.e) * dt
 
-    def bounds_row(self, t: float, dt: float) -> Optional[np.ndarray]:
-        if not self.active(t, dt):
+    def lower_bounds(self, t: float, dt: float, steps: int = 1,
+                     first: int = 0) -> Optional[np.ndarray]:
+        """The bounds of the ``steps`` control steps from t + first*dt on,
+        one row each and NaN outside the experiment; None when no row is
+        inside it."""
+        k = round((t - self.start_time) / dt) + first
+        lo, hi = max(k, 0), min(k + steps, len(self.e))
+        if lo >= hi:
             return None
-        k = int(round((t - self.start_time) / dt))
-        return self.e[min(k, self.e.shape[0] - 1)]
+        rows = np.full((steps, self.e.shape[1]), np.nan)
+        rows[lo - k:hi - k] = self.e[lo:hi]
+        return rows
 
 
 @dataclass(frozen=True)
@@ -110,19 +116,12 @@ def generate_eigen(
 
 def _node_weights_for_vector(v, params, topology):
     idx = {nid: k for k, nid in enumerate(topology.node_ids)}
-    external = [node.is_external for node in topology.nodes]
+    external = np.array([node.is_external for node in topology.nodes])
     n = len(topology.nodes)
     A = np.zeros((n, n))
     for k, (i, j) in enumerate(params.edge_map):
         A[idx[i], idx[j]] = v[k]
-    off = A - np.diag(np.diag(A))
-    w = np.empty(n)
-    for r in range(n):
-        if external[r]:
-            w[r] = off[:, r].sum()
-        else:
-            w[r] = off[r, :].sum() - off[:, r].sum()
-    return w
+    return np.where(external, A.sum(axis=0), A.sum(axis=1) - A.sum(axis=0))
 
 
 def _choose_targets(
@@ -169,15 +168,25 @@ def _heat_target(case, topology) -> Optional[int]:
     return None
 
 
-def _step_separation(case, T_int, t_ext, zones):
-    """Separation value of one temperature snapshot for the chosen case."""
+def _differences(case, zones, n_ext):
+    """The temperature differences a case pushes apart, one row each over
+    [zone temperatures; ambient]: e_a - e_b for a pair, and e_i - e_x for
+    a single node i against every other zone and ambient node x."""
     kind, nodes = case
+    i = zones.index(nodes[0])
     if kind == "pair":
-        return abs(T_int[zones.index(nodes[0])] - T_int[zones.index(nodes[1])])
-    zi = zones.index(nodes[0])
-    total = sum(abs(T_int[zi] - T_int[z]) for z in range(len(zones)) if z != zi)
-    total += sum(abs(T_int[zi] - te) for te in np.atleast_1d(t_ext))
-    return float(total)
+        others = [zones.index(nodes[1])]
+    else:
+        others = [x for x in range(len(zones) + n_ext) if x != i]
+    I = np.eye(len(zones) + n_ext)
+    return I[i] - I[others]
+
+
+def _separation(D, T, forecast):
+    """Separation of each step of a trajectory, the sum of |D [T_k; t_ext_k]|
+    over the rows of D; T may carry leading axes (several trajectories)."""
+    n = T.shape[-1]
+    return np.abs(T @ D[:, :n].T + forecast @ D[:, n:].T).sum(axis=-1)
 
 
 def select_heuristic(
@@ -212,25 +221,21 @@ def select_heuristic(
 
     forecast = np.atleast_2d(np.asarray(forecast, float).reshape(len(forecast), -1))
     h_s = len(forecast)
-    T0 = np.array([temps[topology.index_of(z)] for z in zones])
-    m = model.Gamma_ctrl.shape[1]
-    u_on = np.zeros(m)
-    u_on[list(model.heated_ids).index(target)] = 1.0
-
-    def mean_separation(u):
-        T = T0.copy()
-        total = 0.0
-        for k in range(h_s):
-            T = model.Phi @ T + model.Gamma_ext @ forecast[k] + model.Gamma_ctrl @ u
-            total += _step_separation(case, T, forecast[k], zones)
-        return total / h_s
-
-    gain = mean_separation(u_on) - mean_separation(np.zeros(m))
-    if gain < min_gain:
+    # row 0 runs the target's heater flat out, row 1 leaves every heater off
+    U = np.zeros((2, model.Gamma_ctrl.shape[1]))
+    U[0, list(model.heated_ids).index(target)] = 1.0
+    ext, ctrl = forecast @ model.Gamma_ext.T, U @ model.Gamma_ctrl.T
+    T = temps[[topology.index_of(z) for z in zones]]
+    traj = np.empty((2, h_s, len(zones)))
+    for k in range(h_s):
+        T = traj[:, k] = T @ model.Phi.T + ext[k] + ctrl
+    D = _differences(case, zones, forecast.shape[1])
+    on, off = _separation(D, traj, forecast).sum(axis=1) / h_s
+    if on - off < min_gain:
         return None
     e = np.full((h_s, len(zones)), np.nan)
     e[:, z_idx] = r_max_now[z_idx] - bound_margin
-    return Experiment(tuple(case[1]), e, t, h_s)
+    return Experiment(tuple(case[1]), e, t)
 
 
 def select_optimal(
@@ -284,20 +289,13 @@ def select_optimal(
         if best is None:
             continue
         J_exc, e_opt, u_opt = best
-        J_base = _trajectory_separation(case, baseline.T_pred, forecast, zones)
+        D = _differences(case, zones, forecast.shape[1])
+        J_base = _separation(D, baseline.T_pred, forecast).sum() / len(zones)
         gain = (J_exc - J_base) / h
         diagnostics["gains"].append(gain)
         if gain > selector.threshold:
-            return Experiment(tuple(case[1]), e_opt, t, h_s), selector.reset(), diagnostics
+            return Experiment(tuple(case[1]), e_opt, t), selector.reset(), diagnostics
     return None, selector.decayed(), diagnostics
-
-
-def _trajectory_separation(case, T_traj, forecast, zones):
-    """Horizon-summed separation of a temperature trajectory, scaled by 1/n."""
-    total = 0.0
-    for k, T in enumerate(T_traj):
-        total += _step_separation(case, T, forecast[k], zones)
-    return total / len(zones)
 
 
 @dataclass(frozen=True)
@@ -363,38 +361,25 @@ def _separation_kkt(G, powers):
     return kkt
 
 
-def _separation_weights(case, direction, zones, n_ext, h):
-    """The weight v of each predicted temperature, time-major over the h
-    steps, in one sign-fixed LP: its controls cost c = -G' v, their share in
-    the horizon-summed separation."""
-    n = len(zones)
-    kind, nodes = case
-    zi = zones.index(nodes[0])
-    y = np.zeros(n)
-    if kind == "pair":
-        y[zi], y[zones.index(nodes[1])] = 1.0, -1.0
-    else:
-        # the ambient terms |T_i - T_ext| contribute their T_i gradient with
-        # one count per external node; the ambient itself is not a decision
-        y[:] = -1.0
-        y[zi] = n - 1 + n_ext
-    return direction * np.tile(y, h)
-
-
 def _separation_lp(case, direction, program, forecast, zones):
     """One sign-fixed linear program over the controls, with the experiment
-    bounds it implies."""
+    bounds it implies. With every difference of the case signed as
+    ``direction``, the separation is linear in the zone temperatures, each
+    weighted by its column sum in the case's differences, plus an ambient
+    term the controls do not move: the controls cost c = -G' v for those
+    weights v, tiled over the h steps."""
     G, d = program.G, program.d
     nw, nu = G.shape
     n = len(zones)
     h = nw // n
-    v = _separation_weights(case, direction, zones, forecast.shape[1], h)
+    D = _differences(case, zones, forecast.shape[1])
+    v = direction * np.tile(D[:, :n].sum(axis=0), h)
     sol = solve(ConicProgram(c=-(G.T @ v), A=program.A, b=program.b, kkt=program.kkt))
     if not sol.optimal:
         return None
     u_opt = np.clip(sol.x, 0.0, 1.0)
     T = (G @ u_opt + d).reshape(h, n)
-    J = _trajectory_separation(case, T, forecast, zones)
+    J = _separation(D, T, forecast).sum() / n
     # the bounds halfway up from e_lo to the planned temperatures, the centre
     # of the interval the LP leaves free
     e_lo, e_hi = program.e_lo, program.e_hi

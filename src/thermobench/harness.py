@@ -395,18 +395,17 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
     """The step's heater command and trace label: a failed MPC solve falls
     back to the thermostat, and a step inside an experiment is so labelled."""
     config = run.config
-    row = run.experiment.bounds_row(step.t, config.dt) if run.experiment is not None else None
-    override = None if row is None else row[run.heated]
+    exp = run.experiment  # active at step.t: _excite retires a finished one
+    override = None if exp is None else exp.lower_bounds(step.t, config.dt)[0, run.heated]
     mode = step.mode
     u = np.zeros(len(run.u_prev))
     if mode == "mpc":
-        exp_override = _experiment_horizon_override(
-            run.experiment, step.t, config.dt, config.mpc.horizon, len(step.temps)
-        )
-        if step.mpc is None or exp_override is not None:
+        horizon = None if exp is None else exp.lower_bounds(
+            step.t, config.dt, config.mpc.horizon, first=1)
+        if step.mpc is None or horizon is not None:
             step.mpc = mpc_step(
                 _control_model(run, step), step.temps, step.t, config.schedule,
-                run.weather, config.mpc, r_min_override=exp_override, previous=run.last_mpc,
+                run.weather, config.mpc, r_min_override=horizon, previous=run.last_mpc,
             )
         u, sol = step.mpc
         run.last_mpc = sol
@@ -424,7 +423,7 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
         u, run.th_state = thermostat_control(
             step.temps[run.heated], step.t, run.th_state, run.th_cfg, override_r_min=override,
         )
-    return u, mode if row is None else "excitation"
+    return u, mode if exp is None else "excitation"
 
 
 def _advance_plant(run: _Run, step: _Step, u: np.ndarray, mode: str) -> None:
@@ -451,16 +450,6 @@ def _temperature_nees(est_state, true_temps) -> float:
         return float(err @ np.linalg.solve(P, err))
     except np.linalg.LinAlgError:
         return float("nan")
-
-
-def _experiment_horizon_override(experiment, t, dt, horizon, n_zones):
-    """Experiment bounds written onto the controller's horizon grid."""
-    if experiment is None:
-        return None
-    rows = [experiment.bounds_row(t + k * dt, dt) for k in range(1, horizon + 1)]
-    if all(row is None for row in rows):
-        return None
-    return np.array([np.full(n_zones, np.nan) if row is None else row for row in rows])
 
 
 def _estimated_params(run: _Run) -> ParameterVector:

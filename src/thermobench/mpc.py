@@ -528,8 +528,7 @@ def mpc_step(
     h, n = config.horizon, model.n_internal
     r_min, r_max = horizon_bounds(sched, t, h, model.dt, n)
     if r_min_override is not None:
-        mask = ~np.isnan(r_min_override)
-        r_min[mask] = np.maximum(r_min[mask], r_min_override[mask])
+        r_min = np.fmax(r_min, r_min_override)  # NaN entries leave the bound alone
     forecast = weather_forecast(weather, t, h, model.dt)
     problem = build_mpc_problem(model, measured_internal, forecast, r_min, r_max, config, t)
     solution = solve_mpc(problem, previous)

@@ -131,14 +131,15 @@ class OccupancySchedule:
             raise ValidationError("bounds must satisfy r_min < r_max")
         if not (self.r_min_unocc <= self.r_min_occ and self.r_max_occ <= self.r_max_unocc):
             raise ValidationError("occupied bounds must nest inside unoccupied bounds")
+        # the weekday mask, built once; not a field, so equality and repr ignore it
+        object.__setattr__(self, "_weekly", np.array([d in self.occupied_days for d in range(7)]))
 
     def is_occupied(self, t):
         """Whether time t (minutes) is occupied. Accepts scalar or array time."""
         t = np.asarray(t, dtype=float)
         day = (t // MINUTES_PER_DAY % 7).astype(int)
         clock = t % MINUTES_PER_DAY
-        weekly = np.array([d in self.occupied_days for d in range(7)])
-        return weekly[day] & (self.occupied_start <= clock) & (clock < self.occupied_end)
+        return self._weekly[day] & (self.occupied_start <= clock) & (clock < self.occupied_end)
 
 
 def comfort_bounds(sched: OccupancySchedule, t: float, n_zones: int) -> tuple[np.ndarray, np.ndarray]:

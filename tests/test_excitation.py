@@ -11,8 +11,8 @@ from thermobench.excitation import (
     Experiment,
     SelectorState,
     _choose_targets,
+    _differences,
     _separation_lp,
-    _separation_weights,
     _separation_program,
     generate_eigen,
     select_heuristic,
@@ -155,7 +155,6 @@ class TestSelectHeuristic:
         )
         assert exp is not None
         assert exp.target == (1, 2)
-        assert exp.h_s == 4
         assert exp.e.shape == (4, 2)
         np.testing.assert_allclose(exp.e[:, 0], 78.0)
         assert np.all(np.isnan(exp.e[:, 1]))
@@ -186,11 +185,38 @@ class TestSelectHeuristic:
 
     def test_experiment_activity_window(self):
         e = np.full((4, 2), np.nan)
-        exp = Experiment((1,), e, 100.0, 4)
+        exp = Experiment((1,), e, 100.0)
         assert exp.active(100.0, 15.0)
         assert exp.active(145.0, 15.0)
         assert not exp.active(160.0, 15.0)
-        assert exp.bounds_row(130.0, 15.0) is not None
+        assert exp.lower_bounds(130.0, 15.0) is not None
+        assert exp.lower_bounds(160.0, 15.0) is None
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("steps", [1, 8])
+    @pytest.mark.parametrize("offset", [-6, -3, 0, 1, 2, 5, 8, 9, 20])
+    def test_lower_bounds_match_the_window_rule(self, offset, steps, first):
+        """``lower_bounds`` against the bounds read one time at a time: row k
+        of e at start + k dt, while start <= t < start + len(e) dt. The
+        window of 4 steps starts ``offset`` steps after t, so it begins
+        before, inside and after the horizon read."""
+        dt, t = 15.0, 600.0
+        e = np.arange(8.0).reshape(4, 2) + 70.0
+        e[1, 0] = np.nan
+        exp = Experiment((1,), e, t + offset * dt)
+
+        def row_at(time):
+            if not exp.start_time <= time < exp.start_time + len(e) * dt:
+                return None
+            return e[int(round((time - exp.start_time) / dt))]
+
+        ref = [row_at(t + (first + k) * dt) for k in range(steps)]
+        got = exp.lower_bounds(t, dt, steps, first)
+        if all(row is None for row in ref):
+            assert got is None
+            return
+        expect = np.array([np.full(2, np.nan) if row is None else row for row in ref])
+        np.testing.assert_array_equal(got, expect)
 
 
 class TestSelectorState:
@@ -481,7 +507,7 @@ def test_separation_lp_matches_highs(case, direction):
     budget = np.concatenate([np.ones(nu), np.zeros(ne)])
     A_full = np.vstack([-I_u, I_u, -G_x, G_x, budget, -I_e, I_e, I_e - G_x[:ne]])
     b_full = np.concatenate([program.b, -e_lo, e_hi, d[:ne]])
-    v = _separation_weights(case, direction, [1, 2], 1, 96)
+    v = direction * np.tile(_differences(case, [1, 2], 1)[:, :2].sum(axis=0), 96)
     c = -(G.T @ v)
     ref = linprog(np.append(c, np.zeros(ne)), A_ub=A_full, b_ub=b_full, bounds=(None, None),
                   method="highs")

@@ -1,10 +1,11 @@
-"""Property tests of the network generator, the solver's step search and
-the MPC's Newton hook."""
+"""Property tests of the network generator, the solver's step search, the
+MPC's Newton hook and the excitation cases' separation."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermobench.excitation import ExcitationCandidate, _choose_targets, _differences, _separation
 from thermobench.mpc import MpcConfig, _condense, build_mpc_problem
 from thermobench.network import (
     Edge,
@@ -208,3 +209,40 @@ def test_generator_rows_and_both_exponentials(net, seed):
     for row, T in zip(out, temps):
         ref = model.Phi @ T[pos] + model.Gamma_ext @ T[ext] + model.Gamma_ctrl @ u
         np.testing.assert_allclose(row[pos], ref, rtol=0, atol=1e-12 * 80.0)
+
+
+@PROPERTY
+@given(net=networks(), seed=st.integers(0, 2**32 - 1))
+def test_separation_lp_cost_is_the_signed_separation(net, seed):
+    """For each case ``_choose_targets`` makes of random node weights (two
+    top weights tied for a pair), ``_differences`` has one row for a pair
+    and n - 1 + n_ext for a single node. On a trajectory where every
+    difference carries the sign ``direction``, the LP's linear cost on the
+    zone temperatures plus its ambient term, the ambient columns of the
+    same rows, equals the summed separation to rounding."""
+    rng = np.random.default_rng(seed)
+    zones = list(net.internal_ids)
+    n, n_ext, h = len(zones), len(net.external_ids), 6
+    order = np.array([net.index_of(i) for i in zones + list(net.external_ids)])
+    for tie in (False, True):
+        w = rng.uniform(0.0, 1.0, size=len(net.nodes))
+        if tie:
+            w[order[rng.permutation(n)[:2]]] = 2.0
+        case = _choose_targets(ExcitationCandidate(1.0, w), net)
+        if case is None:
+            continue
+        D = _differences(case, zones, n_ext)
+        assert D.shape == ((1 if case[0] == "pair" else n - 1 + n_ext), n + n_ext)
+        i = zones.index(case[1][0])
+        others = np.flatnonzero(D[:, np.arange(n + n_ext) != i].any(axis=0))
+        others = others + (others >= i)
+        for direction in (1.0, -1.0):
+            X = rng.uniform(20.0, 80.0, size=(h, n + n_ext))
+            lead = X[:, others].max(axis=1) if direction > 0 else X[:, others].min(axis=1)
+            X[:, i] = lead + direction * rng.uniform(0.5, 5.0, size=h)
+            T, t_ext = X[:, :n], X[:, n:]
+            assert np.all(direction * (X @ D.T) > 0)
+            v = direction * np.tile(D[:, :n].sum(axis=0), h)
+            ambient = direction * (t_ext @ D[:, n:].sum(axis=0)).sum()
+            sep = _separation(D, T, t_ext).sum()
+            assert abs(v @ T.reshape(-1) + ambient - sep) <= 1e-12 * np.abs(X).sum() * len(D)

@@ -1,5 +1,6 @@
-"""Two-zone building thermal workbench: plant simulation, online RC-model
-estimation, predictive control, and targeted self-excitation."""
+"""Building thermal workbench for any connected n-zone RC network: plant
+simulation, online RC-model estimation, predictive control, and targeted
+self-excitation."""
 
 from .network import (
     DiscreteDynamics,

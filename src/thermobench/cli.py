@@ -141,53 +141,37 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .harness import Comparison
+    from .errors import ValidationError
+    from .harness import compare_summaries, write_lines
 
-    a = _load_report_csv(args.report_a)
-    b = _load_report_csv(args.report_b)
-    if a["duration_steps"] != b["duration_steps"]:
-        print("error: runs have different durations", file=sys.stderr)
+    try:
+        comparison = compare_summaries(_load_report_csv(args.report_a),
+                                       _load_report_csv(args.report_b))
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if a["seed"] != b["seed"]:
-        print("error: runs saw different weather seeds", file=sys.stderr)
-        return 2
-    pairs = []
-    for key in a:
-        if key in ("name", "seed", "duration_steps", "status") or key.startswith("sha256"):
-            continue
-        try:
-            pairs.append((key, float(a[key]), float(b[key])))
-        except (ValueError, KeyError):
-            continue
-    comparison = Comparison.of(pairs)
     print(comparison.table())
     if args.out:
-        comparison.write_csv(args.out)
+        write_lines(args.out, comparison.csv())
     return 0
 
 
-def _load_report_csv(path):
+def _load_report_csv(path) -> dict:
+    """report.csv's key/value rows (in a run directory, or the file itself)."""
     p = Path(path)
     if p.is_dir():
         p = p / "report.csv"
     if not p.exists():
         print(f"error: report file {p} not found", file=sys.stderr)
         raise SystemExit(2)
-    out = {}
-    with p.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition(",")
-            out[key] = value
-    out["duration_steps"] = int(out.get("duration_steps", 0))
-    out["seed"] = int(out.get("seed", 0))
-    return out
+    lines = p.read_text(encoding="utf-8").splitlines()[1:]
+    return dict(line.partition(",")[::2] for line in lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thermobench",
-        description="Two-zone thermal estimation/control workbench",
+        description="Thermal estimation/control workbench for any connected n-zone building",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -52,6 +52,7 @@ from .simulator import (
 )
 from .thermostat import ThermostatConfig, ThermostatState, compute_preheat, thermostat_control
 from .ukf import (
+    PARAM_FLOOR,
     UkfConfig,
     UkfModel,
     UkfState,
@@ -413,7 +414,7 @@ def _control(run: _Run, step: _Step) -> tuple[np.ndarray, str]:
             run.events.append(MonitorEvent(
                 step.t, "mpc-failure",
                 f"status={sol.status} iterations={sol.iterations} "
-                f"gap={sol.kkt.get('gap', float('nan')):.3e}",
+                f"gap={sol.gap:.3e}",
             ))
             mode = "thermostat-fallback"
     elif mode == "protocol-uniform":
@@ -454,7 +455,7 @@ def _temperature_nees(est_state, true_temps) -> float:
 
 def _estimated_params(run: _Run) -> ParameterVector:
     est = run.est_state
-    return run.truth.with_values(np.maximum(est.p, 1e-8), np.maximum(est.q, 1e-8))
+    return run.truth.with_values(np.maximum(est.p, PARAM_FLOOR), np.maximum(est.q, PARAM_FLOOR))
 
 
 def _control_model(run: _Run, step: _Step) -> DiscreteDynamics:
@@ -470,123 +471,67 @@ def _control_model(run: _Run, step: _Step) -> DiscreteDynamics:
 # serialization
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
+def _csv(header: Sequence[str], rows) -> list[str]:
+    """CSV lines: a float cell in ``FLOAT_FMT``, None empty, any other as str."""
+    return [",".join(header)] + [
+        ",".join([FLOAT_FMT % v if isinstance(v, float) else "" if v is None else str(v)
+                  for v in row]) for row in rows]
+
+
+def write_lines(path: Path, lines) -> str:
+    """Write ``lines`` to ``path`` with "\n" endings; the sha256 of the bytes."""
+    data = "".join(f"{line}\n" for line in lines).encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def summary_rows(report: RunReport) -> list[tuple[str, object]]:
+    """report.csv's key/value rows before its file digests: the run's name,
+    seed, duration and status, its metrics, the final estimates and variances
+    (when estimated) and converged_at (None when it never converged)."""
+    rows = [("name", report.name), ("seed", report.seed),
+            ("duration_steps", report.duration_steps), ("status", report.status)]
+    rows += report.metrics.as_dict().items()
+    if report.final_params is not None:
+        for name, value, var in zip(report.param_names, report.final_params,
+                                    report.final_variances):
+            rows += [(f"estimate_{name}", value), (f"variance_{name}", var)]
+    return rows + [("converged_at", report.converged_at)]
 
 
 def write_report(report: RunReport, config: ScenarioConfig, out_dir: Path) -> None:
+    """Write each output file of ``report`` into ``out_dir``; report.csv, the
+    last, lists the sha256 of every other one."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-
-    trace_path = out_dir / "trace.csv"
-    _write_trace(report.trace, trace_path)
-    manifest["trace.csv"] = _sha256(trace_path)
-
-    if report.estimates:
-        est_path = out_dir / "estimates.csv"
-        _write_estimates(report, est_path)
-        manifest["estimates.csv"] = _sha256(est_path)
-
-    if report.observability:
-        obs_path = out_dir / "observability.csv"
-        _write_observability(report, config, obs_path)
-        manifest["observability.csv"] = _sha256(obs_path)
-
-    events_path = out_dir / "events.log"
-    with events_path.open("w", encoding="utf-8") as fh:
-        for e in report.events:
-            fh.write(f"t={_fmt(e.time)} {e.kind} {e.detail}\n".replace(" \n", "\n"))
-    manifest["events.log"] = _sha256(events_path)
-
-    report.manifest = manifest
-    report_path = out_dir / "report.csv"
-    with report_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("key,value\n")
-        fh.write(f"name,{report.name}\n")
-        fh.write(f"seed,{report.seed}\n")
-        fh.write(f"duration_steps,{report.duration_steps}\n")
-        fh.write(f"status,{report.status}\n")
-        for key, value in report.metrics.as_dict().items():
-            fh.write(f"{key},{_fmt(value)}\n")
-        if report.final_params is not None:
-            for name, value, var in zip(
-                report.param_names, report.final_params, report.final_variances
-            ):
-                fh.write(f"estimate_{name},{_fmt(value)}\n")
-                fh.write(f"variance_{name},{_fmt(var)}\n")
-        fh.write(f"converged_at,{'' if report.converged_at is None else _fmt(report.converged_at)}\n")
-        for fname, digest in sorted(manifest.items()):
-            fh.write(f"sha256_{fname},{digest}\n")
-
-
-def _write_trace(trace: SimulationTrace, path: Path) -> None:
-    node_cols_true = [f"T{nid}_true" for nid in trace.node_ids]
-    node_cols_meas = [f"T{nid}_meas" for nid in trace.node_ids]
-    zone_u = [f"u_zone{zid}" for zid in trace.heated_ids]
-    zone_rmin = [f"r_min_zone{zid}" for zid in trace.zone_ids]
-    zone_rmax = [f"r_max_zone{zid}" for zid in trace.zone_ids]
-    header = (
-        ["step", "time"] + node_cols_true + node_cols_meas + ["T_ext"]
-        + zone_u + zone_rmin + zone_rmax + ["mode"]
-    )
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in trace.rows:
-            cells = [str(row.step), _fmt(row.time)]
-            cells += [_fmt(v) for v in row.true_temps]
-            cells += [_fmt(v) for v in row.measured_temps]
-            cells.append(_fmt(row.t_ext))
-            cells += [_fmt(v) for v in row.u]
-            cells += [_fmt(v) for v in row.r_min]
-            cells += [_fmt(v) for v in row.r_max]
-            cells.append(row.mode)
-            fh.write(",".join(cells) + "\n")
-
-
-def _write_estimates(report: RunReport, path: Path) -> None:
-    names = report.param_names
-    header = ["time"] + [f"mean_{n}" for n in names] + [f"var_{n}" for n in names]
-    header += ["nees", "converged"]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in report.estimates:
-            cells = [_fmt(rec.time)]
-            cells += [_fmt(v) for v in rec.means]
-            cells += [_fmt(v) for v in rec.variances]
-            cells.append(_fmt(rec.nees))
-            cells.append("1" if rec.converged else "0")
-            fh.write(",".join(cells) + "\n")
-
-
-def _write_observability(report: RunReport, config: ScenarioConfig, path: Path) -> None:
-    truth = minimal_parameterization(config.network)
-    names = coordinate_names(truth, config.network)
-    header = ["time", "rank"] + [f"null_{n}" for n in names]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for snap in report.observability:
-            cells = [_fmt(snap.time), str(snap.rank)]
-            cells += [_fmt(v) for v in snap.coordinate_magnitudes]
-            fh.write(",".join(cells) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    trace, names = report.trace, report.param_names
+    tables = {
+        "trace.csv": _csv(
+            ["step", "time", *(f"T{i}_{kind}" for kind in ("true", "meas") for i in trace.node_ids),
+             "T_ext", *(f"u_zone{i}" for i in trace.heated_ids),
+             *(f"r_{end}_zone{i}" for end in ("min", "max") for i in trace.zone_ids), "mode"],
+            ([r.step, r.time, *r.true_temps, *r.measured_temps, r.t_ext, *r.u, *r.r_min,
+              *r.r_max, r.mode] for r in trace.rows)),
+        "estimates.csv": None if not report.estimates else _csv(
+            ["time", *(f"mean_{n}" for n in names), *(f"var_{n}" for n in names),
+             "nees", "converged"],
+            ([e.time, *e.means, *e.variances, e.nees, int(e.converged)]
+             for e in report.estimates)),
+        "observability.csv": None if not report.observability else _csv(
+            ["time", "rank", *(f"null_{n}" for n in coordinate_names(
+                minimal_parameterization(config.network), config.network))],
+            ([s.time, s.rank, *s.coordinate_magnitudes] for s in report.observability)),
+        "events.log": [f"t={FLOAT_FMT % e.time} {e.kind} {e.detail}".removesuffix(" ")
+                       for e in report.events],
+    }
+    report.manifest = {name: write_lines(out_dir / name, lines)
+                       for name, lines in tables.items() if lines is not None}
+    write_lines(out_dir / "report.csv", _csv(["key", "value"], summary_rows(report) + [
+        (f"sha256_{name}", digest) for name, digest in sorted(report.manifest.items())]))
 
 
 @dataclass
 class Comparison:
-    rows: list[tuple[str, float, float, float]]
-
-    @classmethod
-    def of(cls, pairs) -> "Comparison":
-        """Rows from (metric, a, b) triples; b/a, where 0/0 reads as no change."""
-        return cls([
-            (key, a, b, b / a if a != 0 else (1.0 if b == 0 else float("inf")))
-            for key, a, b in pairs
-        ])
+    rows: list[tuple[str, float, float, float]]   # (row, a, b, b/a); 0/0 reads as 1
 
     def table(self) -> str:
         lines = [f"{'metric':<22}{'a':>14}{'b':>14}{'b/a':>10}"]
@@ -594,18 +539,32 @@ class Comparison:
             lines.append(f"{name:<22}{a:>14.6g}{b:>14.6g}{ratio:>10.4f}")
         return "\n".join(lines)
 
-    def write_csv(self, path: Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("metric,a,b,ratio\n")
-            for name, a, b, ratio in self.rows:
-                fh.write(f"{name},{_fmt(a)},{_fmt(b)},{_fmt(ratio)}\n")
+    def csv(self) -> list[str]:
+        return _csv(["metric", "a", "b", "ratio"], self.rows)
+
+
+def compare_summaries(a: dict, b: dict) -> Comparison:
+    """The comparison of two runs' summary rows, as ``summary_rows`` gives them
+    or as read back from report.csv. The runs must share their duration and
+    seed (so the weather). Compared is every row after name, seed,
+    duration_steps and status whose value is a number in both runs: the
+    metrics, the final estimates and variances, and converged_at when both
+    converged."""
+    for key, what in (("duration_steps", "durations"), ("seed", "weather seeds")):
+        if a.get(key) != b.get(key):
+            raise ValidationError(f"runs have different {what}")
+    rows = []
+    for key, value in a.items():
+        if key in ("name", "seed", "duration_steps", "status") or key.startswith("sha256_"):
+            continue
+        try:
+            va, vb = float(value), float(b[key])
+        except (KeyError, TypeError, ValueError):
+            continue
+        rows.append((key, va, vb, vb / va if va != 0 else (1.0 if vb == 0 else float("inf"))))
+    return Comparison(rows)
 
 
 def compare_runs(a: RunReport, b: RunReport) -> Comparison:
-    """Side-by-side metrics of two runs over the same scenario conditions."""
-    if a.duration_steps != b.duration_steps:
-        raise ValidationError("runs have different durations")
-    if a.seed != b.seed:
-        raise ValidationError("runs saw different weather")
-    da, db = a.metrics.as_dict(), b.metrics.as_dict()
-    return Comparison.of((key, float(da[key]), float(db[key])) for key in da)
+    """Side-by-side summary rows of two runs over the same scenario conditions."""
+    return compare_summaries(dict(summary_rows(a)), dict(summary_rows(b)))

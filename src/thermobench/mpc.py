@@ -79,7 +79,7 @@ class MpcSolution:
     cost: float
     status: str
     iterations: int
-    kkt: dict
+    gap: float             # the solver's duality gap; NaN when it failed
     problem: MpcProblem    # the problem this solves
     point: Optional[tuple] = None   # the solver's final (x, s, z); None when it failed
     horizon: Optional[Horizon] = None   # the structure of the problem's program
@@ -480,7 +480,7 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
     except SolverFailure:
         return MpcSolution(
             u=np.zeros((h, m)), T_pred=d.reshape(h, n), w=np.zeros((h, n)),
-            cost=np.inf, status="failed", iterations=0, kkt={}, problem=problem, horizon=horizon,
+            cost=np.inf, status="failed", iterations=0, gap=np.nan, problem=problem, horizon=horizon,
         )
 
     u_flat = np.clip(sol.x[:h * m], 0.0, 1.0)
@@ -492,7 +492,7 @@ def solve_mpc(problem: MpcProblem, previous: Optional[MpcSolution] = None) -> Mp
         cost=cost,
         status=sol.status,
         iterations=sol.iterations,
-        kkt={"gap": sol.gap, "dual_residual": sol.dual_residual},
+        gap=sol.gap,
         problem=problem,
         point=(sol.x, sol.s, sol.z),
         horizon=horizon,

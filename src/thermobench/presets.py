@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError
-from .harness import ScenarioConfig, compare_runs, run_scenario
+from .harness import ScenarioConfig, compare_runs, run_scenario, write_lines
 from .network import minimal_parameterization, two_zone_example
 from .simulator import OccupancySchedule, WeatherModel
 
@@ -138,7 +138,7 @@ def run_preset(name: str, seed: int = 0, out_dir: Optional[Path] = None,
         rep_mpc = run_scenario(mpc, sub("mpc"))
         comparison = compare_runs(rep_th, rep_mpc)
         if out is not None:
-            comparison.write_csv(out / "comparison.csv")
+            write_lines(out / "comparison.csv", comparison.csv())
         return {
             "acquire": acq_report,
             "thermostat": rep_th,
@@ -164,7 +164,7 @@ def run_preset(name: str, seed: int = 0, out_dir: Optional[Path] = None,
         rep_bad = run_scenario(bad, sub("mpc"))
         comparison = compare_runs(rep_th, rep_bad)
         if out is not None:
-            comparison.write_csv(out / "comparison.csv")
+            write_lines(out / "comparison.csv", comparison.csv())
         return {"thermostat": rep_th, "mpc": rep_bad, "comparison": comparison}
 
     raise AssertionError("unreachable")

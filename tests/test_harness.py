@@ -116,17 +116,27 @@ class TestRunScenario:
         ).read_bytes()
 
     def test_report_files_and_manifest(self, tmp_path):
-        config = tiny_config(duration_steps=8)
+        # estimator, selector events and observability: every output is written
+        config = tiny_config(
+            controller="mpc-with-excitation", force_mpc=True, start_at_truth=True,
+            track_observability=True, duration_steps=4,
+        )
         report = run_scenario(config, tmp_path)
         report_lines = (tmp_path / "report.csv").read_text().splitlines()
         keys = {line.split(",")[0] for line in report_lines}
         assert {"name", "seed", "discomfort", "energy", "sha256_trace.csv"} <= keys
-        digest = next(
-            line.split(",")[1] for line in report_lines
-            if line.startswith("sha256_trace.csv")
-        )
-        actual = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
-        assert digest == actual
+        digests = {
+            line.split(",")[0].removeprefix("sha256_"): line.split(",")[1]
+            for line in report_lines if line.startswith("sha256_")
+        }
+        written = {path.name for path in tmp_path.iterdir()} - {"report.csv"}
+        assert written == set(digests) == {
+            "trace.csv", "estimates.csv", "observability.csv", "events.log"
+        }
+        assert (tmp_path / "events.log").read_text()
+        for name, digest in digests.items():
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(), name
+        assert report.manifest == digests
 
     def test_only_numerical_degeneracy_ends_the_run(self, monkeypatch):
         from thermobench import harness
@@ -321,6 +331,33 @@ class TestCli:
                 for line in out.read_text().splitlines()[1:]}
         assert float(rows["energy"][2]) == 1.0
         assert float(rows["discomfort"][2]) == 1.5
+
+    def test_compare_agrees_with_compare_runs(self, tmp_path, capsys):
+        """The CLI compares the rows compare_runs compares, estimates and
+        variances included, and both reject the same mismatches."""
+        reports = {
+            label: run_scenario(config, tmp_path / label) for label, config in (
+                ("a", tiny_config()), ("b", tiny_config(start_at_truth=True)),
+                ("seed", tiny_config(seed=4)), ("duration", tiny_config(duration_steps=6)),
+            )
+        }
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     "--out", str(out)]) == 0
+        cli_rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        rows = compare_runs(reports["a"], reports["b"]).rows
+        assert [r[0] for r in cli_rows] == [r[0] for r in rows]
+        names = [r[0] for r in rows]
+        assert any(n.startswith("estimate_") for n in names)
+        assert any(n.startswith("variance_") for n in names)
+        for (_, *cli_values), (_, *values) in zip(cli_rows, rows):
+            assert float(cli_values[2]) == pytest.approx(values[2], rel=1e-8)
+        for label, why in (("seed", "different weather seeds"), ("duration", "different durations")):
+            capsys.readouterr()
+            assert main(["compare", str(tmp_path / "a"), str(tmp_path / label)]) == 2
+            assert why in capsys.readouterr().err
+            with pytest.raises(ValidationError, match=why):
+                compare_runs(reports["a"], reports[label])
 
     def test_compare_missing_report_errors(self, tmp_path):
         with pytest.raises(SystemExit):
